@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload train-demo --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload train-demo --seed 1 --seconds 55 --trace 0
 
 The package is imported from ``src/`` of the checkout; nothing is
 installed. With ``--trace 0`` the run times the CLI commands with tracing
@@ -26,6 +26,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+
+# BLAS runs on one thread, set before numpy loads. At these matrix sizes a
+# second OpenBLAS thread on a 2-core machine did not make the commands
+# faster, but doubled their CPU time and made them far more sensitive to
+# other load on the host.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
 
 
 def machine_info(seed: int) -> dict[str, object]:
@@ -125,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no cskn package under {SRC}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
-    # One process, single-worker reference mode; BLAS keeps its default.
+    # One process, single-worker reference mode.
     os.environ.pop("CSKN_THREADS", None)
 
     from workloads import WORKLOADS, run_workload

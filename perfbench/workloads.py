@@ -5,20 +5,21 @@ process, exactly as ``scripts/run_demo.py`` does, so a later change may
 batch, cache or rewrite any layer behind the CLI without touching this
 file. Timings are taken around those calls with tracing off; the traced
 run (``trace=True``) repeats one set-up and one cycle with hooks installed
-and turns the spans into per-layer metrics.
+and turns the spans into per-layer metrics. The one step run in another
+process is the untimed ``cskn extract`` whose peak resident set gives
+``peak_rss_mb``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import os
-import resource
 import shutil
 import statistics
-import threading
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,12 +32,9 @@ from tracer import PairFitRecorder, Tracer
 # The A6 acceptance bars.
 MIN_TOP1 = 0.80
 MIN_PRECISION_AT_1 = 0.70
-# Set-up runs at least SETUP_REPEATS times, and more while it has taken less
-# than SETUP_MIN_SECONDS, so a cheap set-up still gives a steady median.
-SETUP_REPEATS = 3
-SETUP_MIN_SECONDS = 2.0
-SETUP_MAX_REPEATS = 50
 DESCRIPTOR_SAMPLE = 4
+PROBE_TIMEOUT_S = 120.0
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Demo architecture (scripts/run_demo.py) with the budget fields left open.
 CONFIG_TEMPLATE = """\
@@ -84,7 +82,7 @@ class Workload:
     The model is trained on the first ``fit_per_class`` train images of
     each class: in the timed cycle when ``timed_train`` is set, otherwise
     in set-up. The timed cycle then extracts, classifies and retrieves
-    over the whole dataset ``eval_rounds`` times.
+    over the whole dataset.
     """
 
     name: str
@@ -97,7 +95,6 @@ class Workload:
     epochs: int
     timed_train: bool
     min_cycles: int
-    eval_rounds: int = 1
 
     def config_text(self) -> str:
         return CONFIG_TEMPLATE.format(
@@ -113,9 +110,9 @@ WORKLOADS = {
     for w in (
         # The pair-fit dominates training, on the demo's 60 training images and
         # architecture. The pair count and pre-training are cut so one training
-        # takes ~10 s on 2 cores and both layers still run the solver to its
+        # takes ~5 s on one core and both layers still run the solver to its
         # iteration cap. Evaluation runs over a 150-image gallery at 64x64.
-        Workload("train-demo", 64, 25, 25, 20, 3000, 10000, 1, True, min_cycles=2, eval_rounds=3),
+        Workload("train-demo", 64, 25, 25, 20, 3000, 10000, 1, True, min_cycles=2),
         # The paper's input size: the forward path is almost all of the work,
         # and its per-image working set is ~10x that at 64x64. With 5 or fewer
         # training images per class the layer-2 pair-fit starts below the
@@ -156,50 +153,6 @@ class Session:
             self.tracer.end(span)
         self.check(status == 0, f"cskn {argv[0]} exited {status}: {err.getvalue().strip()}")
         return seconds
-
-
-class PeakRss:
-    """Resident-set high-water mark of one phase, in MiB.
-
-    A thread samples the resident size every 10 ms. When the phase raises
-    the process's lifetime peak, that exact peak is used instead.
-    """
-
-    def __init__(self) -> None:
-        self._page = os.sysconf("SC_PAGE_SIZE")
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._sample, daemon=True)
-        self._sampled = 0
-        self._before = 0
-        self._after = 0
-
-    def _resident(self) -> int:
-        try:
-            with open("/proc/self/statm", "rb") as handle:
-                return int(handle.read().split()[1]) * self._page
-        except OSError:
-            return 0
-
-    def _sample(self) -> None:
-        while not self._stop.is_set():
-            self._sampled = max(self._sampled, self._resident())
-            self._stop.wait(0.01)
-
-    def __enter__(self) -> "PeakRss":
-        self._before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join()
-        self._sampled = max(self._sampled, self._resident())
-        self._after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-
-    @property
-    def mib(self) -> float:
-        exact = self._after if self._after > self._before else 0
-        return max(self._sampled, exact) / (1024.0 * 1024.0)
 
 
 @dataclass
@@ -250,7 +203,7 @@ def set_up(w: Workload, session: Session, work: Path, seed: int, model: Path):
 
 def run_cycle(w: Workload, session: Session, work: Path, model: Path, out: Path) -> dict:
     """The timed steps: train (if timed), then extract, classify and
-    retrieve ``eval_rounds`` times. Returns seconds per step, one per run."""
+    retrieve. Returns seconds per step."""
     paths = _paths(work)
     out.mkdir(parents=True, exist_ok=True)
     times: dict[str, list[float]] = {"train_s": [], "extract_s": [], "classify_s": [], "retrieve_s": []}
@@ -259,20 +212,53 @@ def run_cycle(w: Workload, session: Session, work: Path, model: Path, out: Path)
         times["train_s"].append(session.command(
             ["train", "--config", paths.config, "--manifest", paths.fit_manifest, "--out", model]
         ))
-    for _ in range(w.eval_rounds):
-        times["extract_s"].append(session.command(
-            ["extract", "--model", model, "--manifest", paths.manifest,
-             "--out", out / "descriptors.cskd"]
-        ))
-        times["classify_s"].append(session.command(
-            ["classify", "--model", model, "--manifest", paths.manifest,
-             "--report", out / "classify.tsv", "--json"]
-        ))
-        times["retrieve_s"].append(session.command(
-            ["retrieve", "--model", model, "--manifest", paths.manifest, "--q", "1,5,10",
-             "--report", out / "retrieve.tsv", "--json"]
-        ))
+    times["extract_s"].append(session.command(
+        ["extract", "--model", model, "--manifest", paths.manifest,
+         "--out", out / "descriptors.cskd"]
+    ))
+    times["classify_s"].append(session.command(
+        ["classify", "--model", model, "--manifest", paths.manifest,
+         "--report", out / "classify.tsv", "--json"]
+    ))
+    times["retrieve_s"].append(session.command(
+        ["retrieve", "--model", model, "--manifest", paths.manifest, "--q", "1,5,10",
+         "--report", out / "retrieve.tsv", "--json"]
+    ))
     return times
+
+
+def peak_rss_extract(session: Session, work: Path, model: Path, out: Path) -> float:
+    """Run ``cskn extract`` over the workload's manifest in a fresh process.
+
+    Returns that process's resident-set high-water mark in MiB. A fresh
+    process holds nothing from set-up or from earlier commands, so the
+    figure reads the same on every run of the same code. The process is
+    always waited for, and killed if it outlives ``PROBE_TIMEOUT_S``.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    argv = [sys.executable, "-m", "cskn.cli", "extract", "--model", str(model),
+            "--manifest", str(_paths(work).manifest), "--out", str(out / "descriptors.cskd")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open(out / "extract.log", "wb") as log:
+        proc = subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT, env=env)
+    deadline = time.monotonic() + PROBE_TIMEOUT_S
+    try:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        while not pid:
+            if time.monotonic() > deadline:
+                proc.kill()
+            time.sleep(0.02)
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    log = (out / "extract.log").read_text(encoding="utf-8", errors="replace").strip()
+    session.check(
+        proc.returncode == 0, f"cskn extract in a fresh process exited {proc.returncode}: {log[-300:]}"
+    )
+    return usage.ru_maxrss / 1024.0
 
 
 def _report_value(path: Path, key: str) -> float | None:
@@ -377,51 +363,62 @@ def _timed(w: Workload, seed: int, seconds: float, work: Path) -> dict:
     recorder.install()
     session = Session()
     fits: list[list] = []
+    setups, setup_trains, models = [], [], []
+
+    def set_up_fresh() -> None:
+        # Each set-up writes a fresh directory, as a user's first set-up does.
+        data = work / f"setup-{len(setups)}"
+        data.mkdir()
+        model = data / "model.cskn"
+        recorder.outcomes.clear()
+        total, train = set_up(w, session, data, seed, model)
+        setups.append(total)
+        if train is not None:
+            setup_trains.append(train)
+            models.append(model)
+            fits.append(list(recorder.outcomes))
+
     try:
-        setups, setup_trains, models = [], [], []
-        while len(setups) < SETUP_REPEATS or (
-            sum(setups) < SETUP_MIN_SECONDS and len(setups) < SETUP_MAX_REPEATS
-        ):
-            model = work / f"setup-{len(setups)}.cskn"
-            recorder.outcomes.clear()
-            total, train = set_up(w, session, work, seed, model)
-            setups.append(total)
-            if train is not None:
-                setup_trains.append(train)
-                models.append(model)
-                fits.append(list(recorder.outcomes))
+        # Set-up runs once before the first cycle and once after every cycle,
+        # so its samples spread over the run as the cycles' do. The speed of
+        # this shared host swings by a third or more over minutes, and most of
+        # train-demo's set-up is file creation, whose cost swings by 2-4x over
+        # seconds: set-ups run back to back took up to 3x longer than one
+        # that follows a cycle.
+        set_up_fresh()
+        data = work / "setup-0"
         cycles: list[dict] = []
         start = time.perf_counter()
-        with PeakRss() as peak:
-            # Start another cycle only if it should end within the budget.
-            while len(cycles) < w.min_cycles or (
-                (time.perf_counter() - start) * (len(cycles) + 1) / len(cycles) <= seconds
-            ):
-                recorder.outcomes.clear()
-                out = work / f"cycle-{len(cycles)}"
-                model = models[0] if models else out / "model.cskn"
-                cycles.append(run_cycle(w, session, work, model, out))
-                if w.timed_train:
-                    models.append(model)
-                    fits.append(list(recorder.outcomes))
+        # Start another cycle only if it should end within the budget.
+        while len(cycles) < w.min_cycles or (
+            (time.perf_counter() - start) * (len(cycles) + 1) / len(cycles) <= seconds
+        ):
+            recorder.outcomes.clear()
+            out = work / f"cycle-{len(cycles)}"
+            model = out / "model.cskn" if w.timed_train else models[0]
+            cycles.append(run_cycle(w, session, data, model, out))
+            if w.timed_train:
+                models.append(model)
+                fits.append(list(recorder.outcomes))
+            set_up_fresh()
     finally:
         recorder.remove()
 
+    peak_rss = peak_rss_extract(session, data, models[0], work / "fresh")
     quality = []
-    for k in range(len(cycles)):
-        out = work / f"cycle-{k}"
+    for out in [work / f"cycle-{k}" for k in range(len(cycles))]:
         quality.append(check_cycle(session, out))
-        if k > 0:
-            session.check(
-                _sha256(out / "descriptors.cskd") == _sha256(work / "cycle-0" / "descriptors.cskd"),
-                f"cycle {k} descriptors differ from cycle 0",
-            )
+    for out in [work / f"cycle-{k}" for k in range(1, len(cycles))] + [work / "fresh"]:
+        session.check(
+            _sha256(out / "descriptors.cskd") == _sha256(work / "cycle-0" / "descriptors.cskd"),
+            f"{out.name} descriptors differ from cycle-0",
+        )
     for model in models:
         check_model(session, model)
     session.check(
         len({_sha256(m) for m in models}) == 1, "retrained models differ in bytes"
     )
-    check_descriptors(session, work, models[0], work / "cycle-0", seed)
+    check_descriptors(session, data, models[0], work / "cycle-0", seed)
 
     images = w.train_per_class * 3 + w.test_per_class * 3
     samples = {name: [t for c in cycles for t in c[name]] for name in cycles[0]}
@@ -433,7 +430,7 @@ def _timed(w: Workload, seed: int, seconds: float, work: Path) -> dict:
         "retrieve_s": _median(samples["retrieve_s"]),
         "top1_accuracy": _median([q[0] for q in quality]),
         "precision_at_1": _median([q[1] for q in quality]),
-        "peak_rss_mb": peak.mib,
+        "peak_rss_mb": peak_rss,
     }
     return {
         "metrics": {k: (v, END_TO_END_UNITS[k]) for k, v in metrics.items()},
@@ -449,8 +446,6 @@ def _timed(w: Workload, seed: int, seconds: float, work: Path) -> dict:
 
 
 def _traced(w: Workload, seed: int, work: Path, root: Path) -> dict:
-    # One evaluation round, so per-layer counts describe one user's cycle.
-    w = dataclasses.replace(w, eval_rounds=1)
     plain_dir, traced_dir = work / "untraced", work / "traced"
     plain_dir.mkdir()
     traced_dir.mkdir()
