@@ -2,19 +2,15 @@
 
 Exit codes: 0 success, 1 usage errors, 2 data errors, 3 numeric failures.
 Reports are deterministic ``key<TAB>value`` lines; ``--json`` adds a
-machine-readable twin next to the report. The ``CSKN_THREADS`` variable
-caps the worker count for image loading and descriptor extraction; unset
-or 0 selects the single-worker reference mode (training always runs in
-reference mode).
+machine-readable twin next to the report. Images are loaded and forwarded
+one at a time, in manifest order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +24,10 @@ from .errors import (
     UsageError,
 )
 from .evalkit import precision_at_q, predict, rank_by_euclidean, roc_auc, top1_accuracy, train_svm
-from .featmap import FeatureMap
 from .images import load_image
 from .model_io import load_descriptors, load_model, save_descriptors, save_model
 from .network import ModelBundle, forward_network, train_network
 from .selftest import run_selftest
-
-THREADS_ENV = "CSKN_THREADS"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -44,45 +37,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 0:
-        raise UsageError(f"{THREADS_ENV} must be nonnegative, got {value}")
-    return value
-
-
-def _map_ordered(func, items):
-    """Apply ``func`` across workers, preserving input order."""
-    workers = _worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
-
-
-def _load_entries(
-    manifest: DatasetManifest,
-    entries: list[ManifestEntry],
-    size: int,
-    grayscale: bool,
-) -> list[FeatureMap]:
-    return _map_ordered(
-        lambda entry: load_image(manifest.resolve(entry), size, grayscale), entries
-    )
-
-
 def _descriptor_matrix(
-    model: ModelBundle, images: list[FeatureMap]
+    model: ModelBundle, manifest: DatasetManifest, entries: list[ManifestEntry]
 ) -> np.ndarray:
-    descriptors = _map_ordered(lambda image: forward_network(image, model), images)
-    return np.stack([d.values for d in descriptors])
+    """Load and forward one image at a time, in the order given."""
+    grayscale = model.expected_channels() == 1
+    rows = []
+    for entry in entries:
+        image = load_image(manifest.resolve(entry), model.input_size, grayscale)
+        rows.append(forward_network(image, model).values)
+    return np.stack(rows)
 
 
 def _write_report(path: Path, rows: list[tuple[str, str]], as_json: bool) -> None:
@@ -98,17 +62,13 @@ def _format_float(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _model_grayscale(model: ModelBundle) -> bool:
-    return model.expected_channels() == 1
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     run: RunConfig = parse_run_config(args.config)
     manifest = load_manifest(args.manifest)
     train_entries = manifest.split_entries("train")
     if not train_entries:
         raise DataError(f"{args.manifest}: no train-split entries to learn from")
-    images = _load_entries(manifest, train_entries, run.input_size, run.grayscale)
+    images = [load_image(manifest.resolve(e), run.input_size, run.grayscale) for e in train_entries]
     model = train_network(
         images, run.layers, run.pretrain, pyramid_levels=run.pyramid_levels
     )
@@ -123,10 +83,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     manifest = load_manifest(args.manifest)
     entries = list(manifest.entries)
-    images = _load_entries(
-        manifest, entries, model.input_size, _model_grayscale(model)
-    )
-    matrix = _descriptor_matrix(model, images)
+    matrix = _descriptor_matrix(model, manifest, entries)
     save_descriptors(
         args.out, [(e.path, e.label, e.split) for e in entries], matrix
     )
@@ -171,13 +128,8 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     gallery_entries, query_entries = _gallery_and_queries(manifest, args.queries)
     q_values = _parse_q_list(args.q)
-    grayscale = _model_grayscale(model)
-    gallery_images = _load_entries(
-        manifest, gallery_entries, model.input_size, grayscale
-    )
-    query_images = _load_entries(manifest, query_entries, model.input_size, grayscale)
-    gallery = _descriptor_matrix(model, gallery_images)
-    queries = _descriptor_matrix(model, query_images)
+    gallery = _descriptor_matrix(model, manifest, gallery_entries)
+    queries = _descriptor_matrix(model, manifest, query_entries)
     gallery_labels = [entry.label for entry in gallery_entries]
     rows: list[tuple[str, str]] = [
         ("num_gallery", str(len(gallery_entries))),
@@ -212,11 +164,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise DataError("manifest has no train-split entries to fit the classifier")
     if not test_entries:
         raise DataError("manifest has no test-split entries to score")
-    grayscale = _model_grayscale(model)
-    train_images = _load_entries(manifest, train_entries, model.input_size, grayscale)
-    test_images = _load_entries(manifest, test_entries, model.input_size, grayscale)
-    train_matrix = _descriptor_matrix(model, train_images)
-    test_matrix = _descriptor_matrix(model, test_images)
+    train_matrix = _descriptor_matrix(model, manifest, train_entries)
+    test_matrix = _descriptor_matrix(model, manifest, test_entries)
     train_labels = [entry.label for entry in train_entries]
     test_labels = [entry.label for entry in test_entries]
     classifier = train_svm(train_matrix, train_labels)

@@ -17,11 +17,12 @@ Gaussians reproduces the patch-similarity Gaussian on sampled pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 from scipy.spatial.distance import pdist
 
 from .errors import (
@@ -228,11 +229,9 @@ def compute_beta(subsampling_factor: int) -> float:
 
 def _sq_dists(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (points, anchors), clipped at zero."""
-    d2 = (
-        np.sum(points * points, axis=1)[:, np.newaxis]
-        - 2.0 * points @ anchors.T
-        + np.sum(anchors * anchors, axis=1)[np.newaxis, :]
-    )
+    d2 = (2.0 * points) @ anchors.T
+    np.subtract(np.sum(points * points, axis=1)[:, np.newaxis], d2, out=d2)
+    d2 += np.sum(anchors * anchors, axis=1)[np.newaxis, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -242,6 +241,7 @@ def activation_h(patches: SubPatchGrid, params: LayerParams) -> FeatureMap:
     Channel i at location z is
     ``||s_z|| * sqrt(b_i) * exp(-||W_i - s~_z||^2 / alpha^2)`` where s~_z
     is the normalized sub-patch; zero-norm locations yield zero vectors.
+    Every step after the distance matmul works in place on its buffer.
     """
     if patches.dim != params.dim:
         raise InvalidArgumentError(
@@ -249,8 +249,9 @@ def activation_h(patches: SubPatchGrid, params: LayerParams) -> FeatureMap:
         )
     filters = np.asarray(params.filters, dtype=np.float64)
     weights = np.asarray(params.weights, dtype=np.float64)
-    d2 = _sq_dists(patches.normalized, filters)
-    acts = np.exp(-d2 / (params.alpha * params.alpha))
+    acts = _sq_dists(patches.normalized, filters)
+    acts /= -(params.alpha * params.alpha)
+    np.exp(acts, out=acts)
     acts *= np.sqrt(weights)[np.newaxis, :]
     acts *= patches.norms[:, np.newaxis]
     rows, cols = patches.grid_shape
@@ -267,6 +268,27 @@ def _pooling_kernel(beta: float) -> np.ndarray:
     return kernel
 
 
+@functools.lru_cache(maxsize=8)
+def _pooling_operator(h: int, w: int, beta: float, f: int) -> sparse.csr_array:
+    """Sparse (out_h*out_w, h*w) map from a raster map to its pooled grid.
+
+    Row k holds the truncated kernel's nonzero taps placed at output k's
+    center and clipped to the map, columns ascending. Temporaries are
+    (out_h, out_w, taps): the size of the operator, never dense.
+    """
+    kernel = _pooling_kernel(beta)
+    offsets = np.argwhere(kernel > 0.0) - kernel.shape[0] // 2
+    rows = (f // 2 + f * np.arange(-(-h // f)))[:, np.newaxis] + offsets[:, 0]
+    cols = (f // 2 + f * np.arange(-(-w // f)))[:, np.newaxis] + offsets[:, 1]
+    inside = ((rows >= 0) & (rows < h))[:, np.newaxis] & ((cols >= 0) & (cols < w))
+    index = sparse.get_index_dtype(maxval=max(h * w, inside.size))
+    columns = rows.astype(index)[:, np.newaxis] * w + cols.astype(index)
+    taps = np.broadcast_to(kernel[kernel > 0.0], inside.shape)[inside]
+    indptr = np.zeros(rows.shape[0] * cols.shape[0] + 1, dtype=index)
+    np.cumsum(inside.sum(axis=2, dtype=index), out=indptr[1:])
+    return sparse.csr_array((taps, columns[inside], indptr), shape=(indptr.size - 1, h * w))
+
+
 def spatial_pool_g(
     feature_map: FeatureMap, beta: float, subsampling_factor: int
 ) -> FeatureMap:
@@ -276,37 +298,18 @@ def spatial_pool_g(
     has ceil(extent / f) entries per axis. Each output is the sum of the
     input weighted by exp(-||u - z||^2 / (2 beta^2)), truncated at radius
     3*beta. For small maps the last centers may fall past the border; the
-    window clip handles that.
+    window clip handles that. The weights form one fixed sparse operator
+    per (extent, beta, f), built once and cached.
     """
     if beta <= 0:
         raise InvalidArgumentError("beta must be positive")
     f = int(subsampling_factor)
     if f < 1:
         raise InvalidArgumentError("subsampling_factor must be >= 1")
-    vals = feature_map.values
-    h, w, c = vals.shape
-    kernel = _pooling_kernel(beta)
-    radius = kernel.shape[0] // 2
-    out_h = -(-h // f)
-    out_w = -(-w // f)
-    centers_r = f // 2 + f * np.arange(out_h)
-    centers_c = f // 2 + f * np.arange(out_w)
-    out = np.zeros((out_h, out_w, c), dtype=np.float64)
-    for oi, ur in enumerate(centers_r):
-        r0 = max(0, ur - radius)
-        r1 = min(h, ur + radius + 1)
-        if r0 >= r1:
-            continue
-        kr0 = r0 - (ur - radius)
-        for oj, uc in enumerate(centers_c):
-            c0 = max(0, uc - radius)
-            c1 = min(w, uc + radius + 1)
-            if c0 >= c1:
-                continue
-            kc0 = c0 - (uc - radius)
-            window = kernel[kr0 : kr0 + (r1 - r0), kc0 : kc0 + (c1 - c0)]
-            out[oi, oj] = np.tensordot(window, vals[r0:r1, c0:c1], axes=([0, 1], [0, 1]))
-    return FeatureMap(out)
+    h, w, c = feature_map.values.shape
+    operator = _pooling_operator(h, w, float(beta), f)
+    pooled = operator @ feature_map.values.reshape(h * w, c)
+    return FeatureMap(pooled.reshape(-(-h // f), -(-w // f), c))
 
 
 def approx_kernel(map_a: FeatureMap, map_b: FeatureMap) -> float:

@@ -2,8 +2,9 @@
 
 The exact match kernel evaluates the full double sum over sub-patch
 locations that the embedding approximates; the finite-difference helper
-checks analytic gradients; the error report summarizes how far an
-approximation sits from its reference.
+checks analytic gradients; the reference pooling loop checks the sparse
+pooling operator; the error report summarizes how far an approximation
+sits from its reference.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError
 from .featmap import FeatureMap, extract_subpatches
+from .kernel_layer import _pooling_kernel
 
 EXACT_KERNEL_MAX_EXTENT = 16
 FINITE_DIFF_STEP = 1e-5
@@ -92,6 +94,46 @@ def finite_diff_gradient(
             )
         grad[k] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def reference_spatial_pool(
+    feature_map: FeatureMap, beta: float, subsampling_factor: int
+) -> FeatureMap:
+    """Gaussian pooling as one window contraction per output cell.
+
+    Same contract as ``kernel_layer.spatial_pool_g``: output k sits at
+    input coordinate floor(f/2) + k*f, and the truncated kernel is clipped
+    at the map border.
+    """
+    if beta <= 0:
+        raise InvalidArgumentError("beta must be positive")
+    f = int(subsampling_factor)
+    if f < 1:
+        raise InvalidArgumentError("subsampling_factor must be >= 1")
+    vals = feature_map.values
+    h, w, c = vals.shape
+    kernel = _pooling_kernel(beta)
+    radius = kernel.shape[0] // 2
+    out_h = -(-h // f)
+    out_w = -(-w // f)
+    centers_r = f // 2 + f * np.arange(out_h)
+    centers_c = f // 2 + f * np.arange(out_w)
+    out = np.zeros((out_h, out_w, c), dtype=np.float64)
+    for oi, ur in enumerate(centers_r):
+        r0 = max(0, ur - radius)
+        r1 = min(h, ur + radius + 1)
+        if r0 >= r1:
+            continue
+        kr0 = r0 - (ur - radius)
+        for oj, uc in enumerate(centers_c):
+            c0 = max(0, uc - radius)
+            c1 = min(w, uc + radius + 1)
+            if c0 >= c1:
+                continue
+            kc0 = c0 - (uc - radius)
+            window = kernel[kr0 : kr0 + (r1 - r0), kc0 : kc0 + (c1 - c0)]
+            out[oi, oj] = np.tensordot(window, vals[r0:r1, c0:c1], axes=([0, 1], [0, 1]))
+    return FeatureMap(out)
 
 
 @dataclass(frozen=True)

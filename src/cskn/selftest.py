@@ -23,7 +23,7 @@ from .kernel_layer import (
 )
 from .model_io import load_model, save_model
 from .network import ModelBundle, TrainedLayer, spp_pool
-from .oracle import exact_match_kernel, finite_diff_gradient
+from .oracle import exact_match_kernel, finite_diff_gradient, reference_spatial_pool
 
 
 def _check_gradient(rng: np.random.Generator) -> str:
@@ -134,6 +134,18 @@ def _check_pooling(rng: np.random.Generator) -> str:
     return "pooling and pyramid identities hold"
 
 
+def _check_pooling_operator(rng: np.random.Generator) -> str:
+    """The cached sparse pooling operator against the reference loop."""
+    fmap = FeatureMap(rng.uniform(0.0, 1.0, size=(11, 7, 3)))
+    for factor in (1, 2, 3):
+        beta = compute_beta(factor)
+        fast = spatial_pool_g(fmap, beta, factor).values
+        slow = reference_spatial_pool(fmap, beta, factor).values
+        if np.abs(fast - slow).max() > 1e-12 * np.abs(slow).max():
+            raise AssertionError("pooling operator disagrees with the reference loop")
+    return "pooling operator matches the reference loop"
+
+
 def _check_metrics(rng: np.random.Generator) -> str:
     """Rank-statistic AUC against exhaustive pair enumeration."""
     for _ in range(10):
@@ -206,6 +218,7 @@ CHECKS = (
     ("exact-kernel", _check_exact_kernel),
     ("embedding", _check_embedding_consistency),
     ("pooling", _check_pooling),
+    ("pooling-operator", _check_pooling_operator),
     ("metrics", _check_metrics),
     ("persistence", _check_persistence),
     ("activation", _check_activation),

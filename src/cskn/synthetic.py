@@ -69,25 +69,6 @@ def make_texture_dataset(
     return manifest
 
 
-def clustered_unit_vectors(
-    rng: np.random.Generator,
-    count: int,
-    dim: int = 3,
-    num_clusters: int = 12,
-    spread: float = 0.25,
-) -> np.ndarray:
-    """Unit vectors drawn from a mixture of Gaussian bumps on the sphere."""
-    if count < 1 or dim < 2 or num_clusters < 1:
-        raise InvalidArgumentError("count/dim/num_clusters must be positive")
-    centers = rng.normal(size=(num_clusters, dim))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    assignment = rng.integers(0, num_clusters, size=count)
-    points = centers[assignment] + spread * rng.normal(size=(count, dim))
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return points / norms
-
-
 def mixture_feature_map(
     rng: np.random.Generator,
     extent: int,

@@ -371,10 +371,7 @@ class TestA6EndToEnd:
 
 
 class TestA7Determinism:
-    def test_repeat_training_is_byte_identical(
-        self, tiny_manifest, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("CSKN_THREADS", raising=False)
+    def test_repeat_training_is_byte_identical(self, tiny_manifest, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(TINY_CONFIG, encoding="utf-8")
         outputs = []

@@ -283,56 +283,3 @@ class TestExitCodes:
             run_command(["--help"])
         assert excinfo.value.code == 0
         assert "train" in capsys.readouterr().out
-
-    def test_bad_thread_environment(self, tiny_run, tmp_path, monkeypatch):
-        monkeypatch.setenv("CSKN_THREADS", "several")
-        status = run_command(
-            [
-                "extract",
-                "--model", str(tiny_run["model"]),
-                "--manifest", str(tiny_run["manifest"]),
-                "--out", str(tmp_path / "f.cskd"),
-            ]
-        )
-        assert status == 1
-        monkeypatch.setenv("CSKN_THREADS", "-2")
-        status = run_command(
-            [
-                "extract",
-                "--model", str(tiny_run["model"]),
-                "--manifest", str(tiny_run["manifest"]),
-                "--out", str(tmp_path / "g.cskd"),
-            ]
-        )
-        assert status == 1
-
-
-class TestThreading:
-    def test_threaded_extract_matches_reference(self, tiny_run, tmp_path, monkeypatch):
-        reference = tmp_path / "ref.cskd"
-        monkeypatch.delenv("CSKN_THREADS", raising=False)
-        assert (
-            run_command(
-                [
-                    "extract",
-                    "--model", str(tiny_run["model"]),
-                    "--manifest", str(tiny_run["manifest"]),
-                    "--out", str(reference),
-                ]
-            )
-            == 0
-        )
-        threaded = tmp_path / "thr.cskd"
-        monkeypatch.setenv("CSKN_THREADS", "4")
-        assert (
-            run_command(
-                [
-                    "extract",
-                    "--model", str(tiny_run["model"]),
-                    "--manifest", str(tiny_run["manifest"]),
-                    "--out", str(threaded),
-                ]
-            )
-            == 0
-        )
-        assert reference.read_bytes() == threaded.read_bytes()

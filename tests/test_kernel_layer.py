@@ -15,6 +15,7 @@ from cskn.kernel_layer import (
     LayerConfig,
     LayerParams,
     PairBatch,
+    _pooling_operator,
     activation_h,
     approx_kernel,
     compute_beta,
@@ -25,7 +26,7 @@ from cskn.kernel_layer import (
     spatial_pool_g,
     train_layer,
 )
-from cskn.oracle import finite_diff_gradient
+from cskn.oracle import finite_diff_gradient, reference_spatial_pool
 
 
 def random_params(rng, num_filters, dim, alpha=None, beta=1.0):
@@ -121,6 +122,24 @@ class TestActivation:
             scaled.values, base.values * scale, rtol=1e-10, atol=1e-12
         )
 
+    def test_matches_closed_form_per_location(self):
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(6, 5, 2))
+        values[:3, :3] = 0.0  # windows inside this block have zero norm
+        grid = extract_subpatches(FeatureMap(values), 2)
+        assert (grid.norms == 0).sum() == 4
+        params = random_params(rng, 7, grid.dim)
+        acts = activation_h(grid, params).values.reshape(len(grid), -1)
+        for z in range(len(grid)):
+            for i in range(params.num_filters):
+                gap = params.filters[i] - grid.normalized[z]
+                expected = (
+                    grid.norms[z]
+                    * np.sqrt(params.weights[i])
+                    * np.exp(-(gap @ gap) / params.alpha**2)
+                )
+                assert acts[z, i] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
     def test_dim_mismatch_raises(self):
         grid = extract_subpatches(FeatureMap(np.ones((3, 3))), 1)
         params = random_params(np.random.default_rng(8), 2, 5)
@@ -186,6 +205,54 @@ class TestSpatialPooling:
             spatial_pool_g(fmap, beta=0.0, subsampling_factor=1)
         with pytest.raises(InvalidArgumentError):
             spatial_pool_g(fmap, beta=1.0, subsampling_factor=0)
+
+
+def assert_matches_reference(fmap, beta, factor):
+    fast = spatial_pool_g(fmap, beta, factor).values
+    slow = reference_spatial_pool(fmap, beta, factor).values
+    assert fast.shape == slow.shape
+    assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
+class TestPoolingOperator:
+    """The cached sparse operator against the per-cell reference loop."""
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(9, 9), (8, 8), (7, 5), (5, 8)])
+    def test_extents_and_strides(self, shape, factor):
+        rng = np.random.default_rng(factor * 100 + shape[0] * 10 + shape[1])
+        fmap = FeatureMap(rng.random(shape + (3,)))
+        assert_matches_reference(fmap, compute_beta(factor), factor)
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_maps_smaller_than_the_window(self, factor):
+        fmap = FeatureMap(np.random.default_rng(factor).random((2, 3, 2)))
+        assert_matches_reference(fmap, 3.0, factor)
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_beta_unrelated_to_the_stride(self, factor):
+        fmap = FeatureMap(np.random.default_rng(factor).random((7, 5, 2)))
+        assert_matches_reference(fmap, 0.2, factor)  # radius 0: one tap
+        assert_matches_reference(fmap, 6.0, factor)  # window wider than the map
+
+    @pytest.mark.parametrize("shape, factor", [((199, 199, 16), 4), ((48, 48, 64), 2)])
+    def test_benchmark_shapes(self, shape, factor):
+        fmap = FeatureMap(np.random.default_rng(12).random(shape))
+        assert_matches_reference(fmap, compute_beta(factor), factor)
+
+    def test_alternating_shapes_never_share_an_operator(self):
+        rng = np.random.default_rng(13)
+        keys = [
+            ((h, w), beta, factor)
+            for (h, w) in ((7, 5), (5, 7), (6, 6))
+            for beta, factor in ((compute_beta(2), 2), (compute_beta(3), 3), (1.0, 2))
+        ]
+        assert len(keys) > _pooling_operator.cache_info().maxsize
+        maps = {shape: FeatureMap(rng.random(shape + (2,))) for shape, _, _ in keys}
+        # More keys than the cache holds, visited twice: evicted operators
+        # are rebuilt and every call meets its own (extent, beta, f).
+        for shape, beta, factor in keys + keys[::-1]:
+            assert_matches_reference(maps[shape], beta, factor)
 
 
 class TestApproxKernel:
