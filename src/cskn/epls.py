@@ -154,6 +154,11 @@ def epls_epoch_step(
     outputs below floor(N / num_outputs) equal the selections left in the
     epoch, only those deficit outputs are eligible. Together the two rules
     pin every epoch count into [floor(N/n), ceil(N/n)].
+
+    The selections left, the deficit and a per-output penalty (the
+    inhibitor, or +inf once the output is ineligible) are kept up to date
+    row by row; the deficit regime, once entered, lasts to the end of the
+    epoch, and the penalties are rebuilt once when it starts.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.ndim != 2 or outputs.size == 0:
@@ -167,29 +172,33 @@ def epls_epoch_step(
     normalized, _ = _minmax_normalize(outputs)
     num_outputs = state.num_outputs
     total = state.epoch_total
-    cap_hi = -(-total // num_outputs)
     cap_lo = total // num_outputs
     inhibitor_unit = num_outputs / total
     counts = state.selection_counts.copy()
+    remaining = total - int(counts.sum())
+    deficit = int(np.maximum(cap_lo - counts, 0).sum())
+    cap = -(-total // num_outputs)
+    penalty = np.where(counts < cap, counts * inhibitor_unit, np.inf)
     matrix = np.zeros_like(normalized)
     for row in range(normalized.shape[0]):
-        remaining = total - int(counts.sum())
         if remaining <= 0:
             raise CapacityExhaustedError(
                 f"epoch capacity of {total} selections already spent"
             )
-        deficit = int(np.maximum(cap_lo - counts, 0).sum())
-        if deficit >= remaining:
-            eligible = counts < cap_lo
-        else:
-            eligible = counts < cap_hi
-        if not eligible.any():
+        if cap > cap_lo and deficit >= remaining:
+            cap = cap_lo
+            penalty = np.where(counts < cap, counts * inhibitor_unit, np.inf)
+        winner = int(np.argmax(normalized[row] - penalty))
+        if penalty[winner] == np.inf:
             raise CapacityExhaustedError("every output is at maximal inhibition")
-        scores = normalized[row] - counts * inhibitor_unit
-        scores = np.where(eligible, scores, -np.inf)
-        winner = int(np.argmax(scores))
-        matrix[row, winner] = 1.0
+        if counts[winner] < cap_lo:
+            deficit -= 1
         counts[winner] += 1
+        remaining -= 1
+        penalty[winner] = (
+            counts[winner] * inhibitor_unit if counts[winner] < cap else np.inf
+        )
+        matrix[row, winner] = 1.0
     return SparseTarget(matrix), InhibitorState(counts, total)
 
 

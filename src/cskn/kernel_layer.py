@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import optimize, sparse
@@ -34,6 +34,7 @@ from .errors import (
 from .featmap import FeatureMap, SubPatchGrid, SubPatchPool
 
 ALPHA_PAIR_SAMPLE_CAP = 100_000
+_ALPHA_CHUNK = 8_192
 LBFGS_MEMORY = 10
 LBFGS_MAX_ITER = 200
 LBFGS_PGTOL = 1e-5
@@ -133,15 +134,22 @@ class LayerParams:
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Sampled sub-patch pairs with their Gaussian similarity targets."""
+    """Sampled sub-patch pairs with their Gaussian similarity targets.
 
-    left: np.ndarray
-    right: np.ndarray
+    Built from ``(left, right, targets)``, but kept only as each pair's
+    sum ``left + right`` and summed squared norms ``||left||^2 +
+    ||right||^2``: the pair objective sees a pair through nothing else.
+    """
+
+    left: InitVar[np.ndarray]
+    right: InitVar[np.ndarray]
     targets: np.ndarray
+    sums: np.ndarray = field(init=False)
+    sq_norms: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        left = _frozen_array(self.left, dtype=np.float64)
-        right = _frozen_array(self.right, dtype=np.float64)
+    def __post_init__(self, left: np.ndarray, right: np.ndarray) -> None:
+        left = np.asarray(left, dtype=np.float64)
+        right = np.asarray(right, dtype=np.float64)
         targets = _frozen_array(self.targets, dtype=np.float64)
         if left.ndim != 2 or left.shape != right.shape:
             raise InvalidArgumentError("left/right must be matching 2-D arrays")
@@ -155,12 +163,21 @@ class PairBatch:
             raise InvalidArgumentError("pair batch contains non-finite values")
         if (targets <= 0).any() or (targets > 1).any():
             raise InvalidArgumentError("targets must lie in (0, 1]")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        sums = np.add(left, right)
+        sq_norms = np.einsum("ij,ij->i", left, left)
+        sq_norms += np.einsum("ij,ij->i", right, right)
+        sums.setflags(write=False)
+        sq_norms.setflags(write=False)
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "sq_norms", sq_norms)
 
     def __len__(self) -> int:
         return self.targets.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.sums.shape[1]
 
 
 def empirical_quantile(values: np.ndarray, quantile: float) -> float:
@@ -211,7 +228,12 @@ def estimate_alpha(
         i = rng.integers(0, n, size=max_pairs)
         # Uniform over j != i: shift by a nonzero offset modulo n.
         j = (i + rng.integers(1, n, size=max_pairs)) % n
-        distances = np.linalg.norm(vectors[i] - vectors[j], axis=1)
+        # Row chunks bound the (pairs, dim) temporaries; each row's norm is
+        # reduced alone, so the distances do not depend on the chunk size.
+        distances = np.empty(max_pairs)
+        for start in range(0, max_pairs, _ALPHA_CHUNK):
+            rows = slice(start, start + _ALPHA_CHUNK)
+            distances[rows] = np.linalg.norm(vectors[i[rows]] - vectors[j[rows]], axis=1)
     alpha = empirical_quantile(distances, quantile)
     if alpha <= 0.0:
         raise DegenerateSampleError(
@@ -328,38 +350,43 @@ def _pair_objective(
     filters: np.ndarray,
     weights: np.ndarray,
     alpha: float,
-    left: np.ndarray,
-    right: np.ndarray,
+    sums: np.ndarray,
+    sq_norms: np.ndarray,
     targets: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Sum of squared pair residuals with analytic gradients.
 
     The model for a pair (x, y) is
-    ``sum_i b_i exp(-||W_i - x||^2 / a^2) exp(-||W_i - y||^2 / a^2)``;
-    the loss is ``sum_pairs (target - model)^2``. Work is chunked so the
-    (pairs, filters) temporaries stay bounded; chunk order is fixed, so
-    the reduction is deterministic.
+    ``sum_i b_i exp(-(||W_i - x||^2 + ||W_i - y||^2) / a^2)``, which with
+    s = x + y and c = ||x||^2 + ||y||^2 is
+    ``sum_i b_i exp((2 W_i.s - 2||W_i||^2 - c) / a^2)``; the loss is
+    ``sum_pairs (target - model)^2``. Each chunk does one distance matmul
+    and finishes the (pairs, filters) block in place; chunk order is
+    fixed, so the reduction is deterministic.
     """
     a2 = alpha * alpha
+    twice = 2.0 * filters
+    offsets = np.einsum("ij,ij->i", filters, twice)
     loss = 0.0
-    grad_w = np.zeros_like(filters)
-    grad_b = np.zeros_like(weights)
+    col = np.zeros_like(weights)
+    pull = np.zeros_like(filters)
     count = targets.shape[0]
     for start in range(0, count, _OBJECTIVE_CHUNK):
         stop = min(start + _OBJECTIVE_CHUNK, count)
-        x = left[start:stop]
-        y = right[start:stop]
-        t = targets[start:stop]
-        u = np.exp(-(_sq_dists(x, filters) + _sq_dists(y, filters)) / a2)
-        residual = t - u @ weights
+        s = sums[start:stop]
+        u = s @ twice.T
+        u -= offsets
+        u -= sq_norms[start:stop, np.newaxis]
+        np.minimum(u, 0.0, out=u)
+        u /= a2
+        np.exp(u, out=u)
+        residual = targets[start:stop] - u @ weights
         loss += float(residual @ residual)
-        grad_b -= 2.0 * (u.T @ residual)
-        ru = u * residual[:, np.newaxis]
-        col = ru.sum(axis=0)
-        grad_w += (4.0 * weights / a2)[:, np.newaxis] * (
-            2.0 * filters * col[:, np.newaxis] - ru.T @ (x + y)
-        )
-    return loss, grad_w, grad_b
+        col += residual @ u
+        u *= residual[:, np.newaxis]
+        pull += u.T @ s
+    grad_w = (4.0 * weights / a2)[:, np.newaxis] * (twice * col[:, np.newaxis] - pull)
+    return loss, grad_w, -2.0 * col
 
 
 def objective_and_gradient(
@@ -369,32 +396,49 @@ def objective_and_gradient(
 
     Returns (loss, grad_filters, grad_weights).
     """
-    if params.dim != batch.left.shape[1]:
+    if params.dim != batch.dim:
         raise InvalidArgumentError(
-            f"filter dim {params.dim} does not match pair dim {batch.left.shape[1]}"
+            f"filter dim {params.dim} does not match pair dim {batch.dim}"
         )
     filters = np.asarray(params.filters, dtype=np.float64)
     weights = np.asarray(params.weights, dtype=np.float64)
     return _pair_objective(
-        filters, weights, params.alpha, batch.left, batch.right, batch.targets
+        filters, weights, params.alpha, batch.sums, batch.sq_norms, batch.targets
     )
+
+
+@dataclass(frozen=True)
+class FitOutcome:
+    """How one pair-fit's L-BFGS run ended.
+
+    ``iterations`` and ``status`` are the solver's; ``evaluations``
+    counts every pair-objective evaluation of the fit, the one at the
+    initial point included; ``fell_back`` is set when the solver's point
+    was non-finite or worse than the initial one, which was kept instead.
+    """
+
+    iterations: int
+    evaluations: int
+    status: int
+    fell_back: bool
 
 
 def train_layer(
     pairs: PairBatch, config: LayerConfig, init: LayerParams
-) -> LayerParams:
+) -> tuple[LayerParams, FitOutcome]:
     """Fit filters and weights to the pair targets with bounded L-BFGS.
 
     Weights are box-constrained to [WEIGHT_FLOOR, inf); filters are free.
     Termination: projected-gradient sup-norm below LBFGS_PGTOL or
     LBFGS_MAX_ITER iterations. The returned loss never exceeds the loss at
-    the (floor-clipped) initial point.
+    the (floor-clipped) initial point. Returns the fitted parameters and
+    the solver's outcome.
     """
     if init.num_filters != config.num_filters:
         raise InvalidArgumentError(
             f"init has {init.num_filters} filters, config wants {config.num_filters}"
         )
-    if init.dim != pairs.left.shape[1]:
+    if init.dim != pairs.dim:
         raise InvalidArgumentError("init filter dim does not match pair dim")
     p, d = init.num_filters, init.dim
     w0 = np.asarray(init.filters, dtype=np.float64).copy()
@@ -408,7 +452,7 @@ def train_layer(
         filters = theta[: p * d].reshape(p, d)
         weights = theta[p * d :]
         loss, grad_w, grad_b = _pair_objective(
-            filters, weights, alpha, pairs.left, pairs.right, pairs.targets
+            filters, weights, alpha, pairs.sums, pairs.sq_norms, pairs.targets
         )
         if not (
             math.isfinite(loss)
@@ -435,15 +479,19 @@ def train_layer(
             "ftol": 1e-12,
         },
     )
-    if not math.isfinite(result.fun) or result.fun > initial_loss:
-        # Line searches are monotone; falling back keeps the guarantee
-        # even if the solver bails out on a pathological instance.
-        theta = theta0
-    else:
-        theta = result.x
+    # Line searches are monotone; falling back keeps the guarantee even
+    # if the solver bails out on a pathological instance.
+    fell_back = bool(not math.isfinite(result.fun) or result.fun > initial_loss)
+    theta = theta0 if fell_back else result.x
     filters = theta[: p * d].reshape(p, d)
     weights = np.maximum(theta[p * d :], WEIGHT_FLOOR)
-    return LayerParams(filters, weights, alpha=init.alpha, beta=init.beta)
+    outcome = FitOutcome(
+        iterations=int(result.nit),
+        evaluations=evaluations[0],
+        status=int(result.status),
+        fell_back=fell_back,
+    )
+    return LayerParams(filters, weights, alpha=init.alpha, beta=init.beta), outcome
 
 
 def sample_training_pairs(

@@ -11,7 +11,7 @@ gradient-encoded first layer), then fit the pair objective.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -327,10 +327,12 @@ def train_network(
         provenance[f"layer{index + 1}_pair_loss_init"] = objective_and_gradient(
             init, batch
         )[0]
-        trained = train_layer(batch, config, init)
+        trained, fit = train_layer(batch, config, init)
         provenance[f"layer{index + 1}_pair_loss_final"] = objective_and_gradient(
             trained, batch
         )[0]
+        for key, value in asdict(fit).items():
+            provenance[f"layer{index + 1}_lbfgs_{key}"] = int(value)
         provenance[f"layer{index + 1}_alpha"] = alpha
         provenance[f"layer{index + 1}_beta"] = beta
         sealed = TrainedLayer.from_training(config, trained)

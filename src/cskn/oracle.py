@@ -3,8 +3,10 @@
 The exact match kernel evaluates the full double sum over sub-patch
 locations that the embedding approximates; the finite-difference helper
 checks analytic gradients; the reference pooling loop checks the sparse
-pooling operator; the error report summarizes how far an approximation
-sits from its reference.
+pooling operator; the reference pair objective checks the x+y form of the
+pair-fit; the reference epoch step checks the incremental sparse-target
+bookkeeping; the error report summarizes how far an approximation sits from
+its reference.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericFailureError
+from .epls import InhibitorState, SparseTarget, _minmax_normalize
+from .errors import CapacityExhaustedError, InvalidArgumentError, NumericFailureError
 from .featmap import FeatureMap, extract_subpatches
-from .kernel_layer import _pooling_kernel
+from .kernel_layer import _OBJECTIVE_CHUNK, _pooling_kernel, _sq_dists
 
 EXACT_KERNEL_MAX_EXTENT = 16
 FINITE_DIFF_STEP = 1e-5
@@ -134,6 +137,95 @@ def reference_spatial_pool(
             window = kernel[kr0 : kr0 + (r1 - r0), kc0 : kc0 + (c1 - c0)]
             out[oi, oj] = np.tensordot(window, vals[r0:r1, c0:c1], axes=([0, 1], [0, 1]))
     return FeatureMap(out)
+
+
+def reference_pair_objective(
+    filters: np.ndarray,
+    weights: np.ndarray,
+    alpha: float,
+    left: np.ndarray,
+    right: np.ndarray,
+    targets: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Sum of squared pair residuals with analytic gradients.
+
+    The model for a pair (x, y) is
+    ``sum_i b_i exp(-||W_i - x||^2 / a^2) exp(-||W_i - y||^2 / a^2)``;
+    the loss is ``sum_pairs (target - model)^2``. Work is chunked so the
+    (pairs, filters) temporaries stay bounded; chunk order is fixed, so
+    the reduction is deterministic.
+    """
+    a2 = alpha * alpha
+    loss = 0.0
+    grad_w = np.zeros_like(filters)
+    grad_b = np.zeros_like(weights)
+    count = targets.shape[0]
+    for start in range(0, count, _OBJECTIVE_CHUNK):
+        stop = min(start + _OBJECTIVE_CHUNK, count)
+        x = left[start:stop]
+        y = right[start:stop]
+        t = targets[start:stop]
+        u = np.exp(-(_sq_dists(x, filters) + _sq_dists(y, filters)) / a2)
+        residual = t - u @ weights
+        loss += float(residual @ residual)
+        grad_b -= 2.0 * (u.T @ residual)
+        ru = u * residual[:, np.newaxis]
+        col = ru.sum(axis=0)
+        grad_w += (4.0 * weights / a2)[:, np.newaxis] * (
+            2.0 * filters * col[:, np.newaxis] - ru.T @ (x + y)
+        )
+    return loss, grad_w, grad_b
+
+
+def reference_epls_epoch_step(
+    outputs: np.ndarray, state: InhibitorState
+) -> tuple[SparseTarget, InhibitorState]:
+    """Assign one active output per row under the epoch capacity.
+
+    Rows are processed in order. Each row picks the eligible output
+    maximizing (normalized response - inhibitor), ties going to the lowest
+    index. An output becomes ineligible once its epoch count reaches
+    ceil(N / num_outputs); additionally, when the selections still owed to
+    outputs below floor(N / num_outputs) equal the selections left in the
+    epoch, only those deficit outputs are eligible. Together the two rules
+    pin every epoch count into [floor(N/n), ceil(N/n)].
+    """
+    outputs = np.asarray(outputs, dtype=np.float64)
+    if outputs.ndim != 2 or outputs.size == 0:
+        raise InvalidArgumentError("outputs must be a nonempty 2-D matrix")
+    if not np.isfinite(outputs).all():
+        raise InvalidArgumentError("outputs contain non-finite values")
+    if outputs.shape[1] != state.num_outputs:
+        raise InvalidArgumentError(
+            f"{outputs.shape[1]} outputs but state tracks {state.num_outputs}"
+        )
+    normalized, _ = _minmax_normalize(outputs)
+    num_outputs = state.num_outputs
+    total = state.epoch_total
+    cap_hi = -(-total // num_outputs)
+    cap_lo = total // num_outputs
+    inhibitor_unit = num_outputs / total
+    counts = state.selection_counts.copy()
+    matrix = np.zeros_like(normalized)
+    for row in range(normalized.shape[0]):
+        remaining = total - int(counts.sum())
+        if remaining <= 0:
+            raise CapacityExhaustedError(
+                f"epoch capacity of {total} selections already spent"
+            )
+        deficit = int(np.maximum(cap_lo - counts, 0).sum())
+        if deficit >= remaining:
+            eligible = counts < cap_lo
+        else:
+            eligible = counts < cap_hi
+        if not eligible.any():
+            raise CapacityExhaustedError("every output is at maximal inhibition")
+        scores = normalized[row] - counts * inhibitor_unit
+        scores = np.where(eligible, scores, -np.inf)
+        winner = int(np.argmax(scores))
+        matrix[row, winner] = 1.0
+        counts[winner] += 1
+    return SparseTarget(matrix), InhibitorState(counts, total)
 
 
 @dataclass(frozen=True)

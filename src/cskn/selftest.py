@@ -23,7 +23,12 @@ from .kernel_layer import (
 )
 from .model_io import load_model, save_model
 from .network import ModelBundle, TrainedLayer, spp_pool
-from .oracle import exact_match_kernel, finite_diff_gradient, reference_spatial_pool
+from .oracle import (
+    exact_match_kernel,
+    finite_diff_gradient,
+    reference_pair_objective,
+    reference_spatial_pool,
+)
 
 
 def _check_gradient(rng: np.random.Generator) -> str:
@@ -53,6 +58,31 @@ def _check_gradient(rng: np.random.Generator) -> str:
         if np.abs(analytic - numeric).max() / scale > 1e-5:
             raise AssertionError("analytic gradient disagrees with finite differences")
     return "pair-objective gradients match finite differences"
+
+
+def _check_pair_objective(rng: np.random.Generator) -> str:
+    """The x+y pair objective against the two-distance reference loop."""
+    for _ in range(5):
+        p, d, n = int(rng.integers(1, 9)), int(rng.integers(1, 12)), 40
+        left = rng.normal(size=(n, d))
+        right = rng.normal(size=(n, d))
+        targets = rng.uniform(0.05, 1.0, size=n)
+        params = LayerParams(
+            rng.normal(size=(p, d)),
+            rng.uniform(0.1, 1.0, size=p),
+            alpha=float(rng.uniform(1.0, 3.0)),
+            beta=1.0,
+        )
+        fast = objective_and_gradient(params, PairBatch(left, right, targets))
+        slow = reference_pair_objective(
+            params.filters, params.weights, params.alpha, left, right, targets
+        )
+        if abs(fast[0] - slow[0]) > 1e-12 * abs(slow[0]) or any(
+            np.abs(new - ref).max() > 1e-12 * np.abs(ref).max()
+            for new, ref in zip(fast[1:], slow[1:])
+        ):
+            raise AssertionError("pair objective disagrees with the reference loop")
+    return "pair objective matches the reference"
 
 
 def _check_epls(rng: np.random.Generator) -> str:
@@ -105,7 +135,7 @@ def _check_embedding_consistency(rng: np.random.Generator) -> str:
     batch = sample_training_pairs(pool, 3000, alpha, seed=7)
     from .kernel_layer import train_layer
 
-    trained = train_layer(batch, config, init)
+    trained, _ = train_layer(batch, config, init)
     loss_init = objective_and_gradient(init, batch)[0]
     loss_final = objective_and_gradient(trained, batch)[0]
     if loss_final > loss_init:
@@ -214,6 +244,7 @@ def _check_activation(rng: np.random.Generator) -> str:
 
 CHECKS = (
     ("gradient", _check_gradient),
+    ("pair-objective", _check_pair_objective),
     ("sparsity", _check_epls),
     ("exact-kernel", _check_exact_kernel),
     ("embedding", _check_embedding_consistency),

@@ -169,7 +169,7 @@ def fidelity_mae(seed: int, num_filters: int) -> float:
     config = LayerConfig(
         "patch", 1, factor, num_filters, num_training_pairs=pairs, seed=seed
     )
-    params = train_layer(batch, config, init)
+    params, _ = train_layer(batch, config, init)
 
     def embed(fmap):
         return spatial_pool_g(

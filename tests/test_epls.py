@@ -1,5 +1,7 @@
 """Sparse target construction and the pre-training loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from cskn.errors import (
 )
 from cskn.featmap import SubPatchPool
 from cskn.kernel_layer import LayerConfig
+from cskn.oracle import reference_epls_epoch_step
 
 
 class TestSparseTarget:
@@ -130,6 +133,65 @@ class TestEpochStep:
         hi = -(-total // num_outputs)
         assert (state.selection_counts >= lo).all()
         assert (state.selection_counts <= hi).all()
+
+
+def step_outcome(step, outputs, state):
+    try:
+        target, after = step(outputs, state)
+    except CapacityExhaustedError as exc:
+        return str(exc)
+    return target.matrix, after.selection_counts
+
+
+def assert_same_step(outputs, state):
+    """The incremental step and the reference loop agree bit for bit."""
+    new = step_outcome(epls_epoch_step, outputs, state)
+    old = step_outcome(reference_epls_epoch_step, outputs, state)
+    assert type(new) is type(old)
+    if isinstance(old, str):
+        assert new == old
+        return None
+    np.testing.assert_array_equal(new[0], old[0])
+    np.testing.assert_array_equal(new[1], old[1])
+    return InhibitorState(new[1], state.epoch_total)
+
+
+class TestEpochStepAgainstReference:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_epochs(self, seed):
+        rng = np.random.default_rng(seed)
+        num_outputs = int(rng.integers(1, 10))
+        total = int(rng.integers(1, 300))
+        state = InhibitorState.fresh(num_outputs, total)
+        seen = 0
+        while seen < total:
+            size = min(int(rng.integers(1, 50)), total - seen)
+            outputs = rng.random((size, num_outputs))
+            if seed % 2:
+                outputs = np.round(4.0 * outputs)  # many ties
+            state = assert_same_step(outputs, state)
+            seen += size
+        assert assert_same_step(rng.random((1, num_outputs)), state) is None
+
+    def test_deficit_regime_after_the_favourites_fill(self):
+        # 42 selections over 4 outputs: caps 10 and 11. Rows prefer outputs
+        # 0 and 1; once both hold 11, the 20 selections left are exactly
+        # the deficit of outputs 2 and 3, and only those stay eligible.
+        outputs = np.tile([1.0, 0.9, 0.0, 0.1], (42, 1))
+        state = assert_same_step(outputs, InhibitorState.fresh(4, 42))
+        np.testing.assert_array_equal(state.selection_counts, [11, 11, 10, 10])
+
+    def test_every_small_state(self):
+        # Includes spent epochs and counts above both caps. "Every output
+        # at maximal inhibition" cannot happen with selections left: it
+        # needs every count at the cap of its regime, which spends them.
+        rng = np.random.default_rng(5)
+        for num_outputs in (1, 2, 3):
+            for total in range(1, 8):
+                cap_hi = -(-total // num_outputs)
+                for counts in itertools.product(range(cap_hi + 2), repeat=num_outputs):
+                    state = InhibitorState(np.array(counts), total)
+                    assert_same_step(rng.random((3, num_outputs)), state)
 
 
 class TestRemapTargets:

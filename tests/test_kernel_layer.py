@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 from scipy.spatial.distance import pdist
 
 from cskn.errors import (
@@ -10,8 +11,11 @@ from cskn.errors import (
     DegenerateSampleError,
     InvalidArgumentError,
 )
+from cskn import kernel_layer
 from cskn.featmap import FeatureMap, SubPatchPool, extract_subpatches
 from cskn.kernel_layer import (
+    ALPHA_PAIR_SAMPLE_CAP,
+    LBFGS_MAX_ITER,
     LayerConfig,
     LayerParams,
     PairBatch,
@@ -26,7 +30,11 @@ from cskn.kernel_layer import (
     spatial_pool_g,
     train_layer,
 )
-from cskn.oracle import finite_diff_gradient, reference_spatial_pool
+from cskn.oracle import (
+    finite_diff_gradient,
+    reference_pair_objective,
+    reference_spatial_pool,
+)
 
 
 def random_params(rng, num_filters, dim, alpha=None, beta=1.0):
@@ -76,6 +84,29 @@ class TestBandwidths:
         assert a != c
         full = estimate_alpha(vectors, 0.1)
         assert abs(a - full) / full < 0.25
+
+    @pytest.mark.parametrize("dim", [2, 9, 144])
+    def test_chunked_alpha_distances_match_the_unchunked_expression(
+        self, dim, monkeypatch
+    ):
+        rng = np.random.default_rng(dim)
+        vectors = rng.normal(size=(600, dim))
+        max_pairs = ALPHA_PAIR_SAMPLE_CAP + 3
+        assert max_pairs % kernel_layer._ALPHA_CHUNK != 0
+        seen = []
+        quantile = kernel_layer.empirical_quantile
+        monkeypatch.setattr(
+            kernel_layer,
+            "empirical_quantile",
+            lambda values, q: seen.append(values.copy()) or quantile(values, q),
+        )
+        alpha = estimate_alpha(vectors, 0.1, max_pairs=max_pairs, seed=4)
+        draws = np.random.default_rng(4)
+        i = draws.integers(0, 600, size=max_pairs)
+        j = (i + draws.integers(1, 600, size=max_pairs)) % 600
+        expected = np.linalg.norm(vectors[i] - vectors[j], axis=1)
+        np.testing.assert_array_equal(seen[0], expected)
+        assert alpha == quantile(expected, 0.1)
 
     def test_estimate_alpha_degenerate_inputs(self):
         with pytest.raises(DegenerateSampleError):
@@ -282,17 +313,19 @@ class TestPairObjective:
     def test_loss_value_against_direct_formula(self):
         rng = np.random.default_rng(12)
         params = random_params(rng, 4, 3)
-        batch = random_batch(rng, 17, 3)
-        loss, _, _ = objective_and_gradient(params, batch)
-        model = np.zeros(len(batch))
+        left = rng.normal(size=(17, 3))
+        right = rng.normal(size=(17, 3))
+        targets = rng.uniform(0.05, 1.0, size=17)
+        loss, _, _ = objective_and_gradient(params, PairBatch(left, right, targets))
+        model = np.zeros(17)
         for i in range(params.num_filters):
             w = params.filters[i]
-            dx = np.sum((batch.left - w) ** 2, axis=1)
-            dy = np.sum((batch.right - w) ** 2, axis=1)
+            dx = np.sum((left - w) ** 2, axis=1)
+            dy = np.sum((right - w) ** 2, axis=1)
             model += params.weights[i] * np.exp(
                 -(dx + dy) / params.alpha**2
             )
-        expected = float(np.sum((batch.targets - model) ** 2))
+        expected = float(np.sum((targets - model) ** 2))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -334,6 +367,107 @@ class TestPairObjective:
         assert loss == pytest.approx(0.0, abs=1e-18)
 
 
+def recover_pairs(vectors, batch):
+    """The (left, right) rows of a sampled batch, found from its sums."""
+    n = vectors.shape[0]
+    all_sums = (vectors[:, np.newaxis, :] + vectors[np.newaxis, :, :]).reshape(n * n, -1)
+    gaps = np.sum((batch.sums[:, np.newaxis, :] - all_sums) ** 2, axis=2)
+    i, j = np.divmod(np.argmin(gaps, axis=1), n)
+    np.testing.assert_array_equal(batch.sums, vectors[i] + vectors[j])
+    return vectors[i], vectors[j]
+
+
+def assert_objective_matches_reference(params, left, right, targets, batch=None):
+    if batch is None:
+        batch = PairBatch(left, right, targets)
+    fast = objective_and_gradient(params, batch)
+    slow = reference_pair_objective(
+        params.filters, params.weights, params.alpha, left, right, targets
+    )
+    assert abs(fast[0] - slow[0]) <= 1e-12 * abs(slow[0])
+    for new, ref in zip(fast[1:], slow[1:]):
+        assert new.shape == ref.shape
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+    return slow
+
+
+class TestPairObjectiveAgainstReference:
+    """The x+y objective against the two-distance loop it replaced."""
+
+    def test_unit_pairs_from_the_sampler(self):
+        rng = np.random.default_rng(30)
+        raw = rng.normal(size=(60, 9))
+        pool = SubPatchPool(np.ones(60), raw / np.linalg.norm(raw, axis=1)[:, None])
+        alpha = estimate_alpha(pool, 0.1, seed=1)
+        batch = sample_training_pairs(pool, 400, alpha, seed=2)
+        left, right = recover_pairs(pool.normalized, batch)
+        params = LayerParams(
+            pool.normalized[:8] + 0.1 * rng.normal(size=(8, 9)),
+            rng.uniform(0.1, 1.0, size=8),
+            alpha=alpha,
+            beta=1.0,
+        )
+        assert_objective_matches_reference(
+            params, left, right, batch.targets, batch=batch
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_unit_random_pairs(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        p, d, n = int(rng.integers(1, 9)), int(rng.integers(1, 20)), 60
+        params = random_params(rng, p, d, alpha=float(rng.uniform(1.0, 3.0)))
+        left = rng.normal(scale=0.7, size=(n, d))
+        right = rng.normal(scale=0.7, size=(n, d))
+        targets = rng.uniform(0.05, 1.0, size=n)
+        assert_objective_matches_reference(params, left, right, targets)
+
+    def test_identical_members_with_unit_targets(self):
+        rng = np.random.default_rng(50)
+        x = rng.normal(size=(25, 6))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        params = LayerParams(
+            x[:5].copy(), rng.uniform(0.2, 1.0, size=5), alpha=0.6, beta=1.0
+        )
+        assert_objective_matches_reference(params, x, x.copy(), np.ones(25))
+
+    def test_far_filters_underflow_to_zero(self):
+        rng = np.random.default_rng(60)
+        left = rng.normal(size=(30, 4))
+        right = rng.normal(size=(30, 4))
+        targets = rng.uniform(0.1, 1.0, size=30)
+        params = LayerParams(
+            100.0 + rng.normal(size=(3, 4)), np.ones(3), alpha=0.5, beta=1.0
+        )
+        loss, grad_w, grad_b = assert_objective_matches_reference(
+            params, left, right, targets
+        )
+        # Every activation is exp of below -1e5: the model is exactly zero.
+        assert loss == float(targets @ targets)
+        assert not grad_w.any() and not grad_b.any()
+
+    def test_chunks_agree_with_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        params = random_params(rng, 5, 7)
+        left = rng.normal(size=(103, 7))
+        right = rng.normal(size=(103, 7))
+        targets = rng.uniform(0.05, 1.0, size=103)
+        # The reference keeps its own chunk size and sees one chunk.
+        monkeypatch.setattr(kernel_layer, "_OBJECTIVE_CHUNK", 10)
+        assert_objective_matches_reference(params, left, right, targets)
+
+    def test_batch_keeps_only_sums_and_norms(self):
+        rng = np.random.default_rng(80)
+        left = rng.normal(size=(6, 3))
+        right = rng.normal(size=(6, 3))
+        batch = PairBatch(left, right, np.full(6, 0.5))
+        np.testing.assert_array_equal(batch.sums, left + right)
+        np.testing.assert_allclose(
+            batch.sq_norms, np.sum(left**2 + right**2, axis=1), rtol=1e-15
+        )
+        assert batch.dim == 3 and len(batch) == 6
+        assert not hasattr(batch, "left") and not hasattr(batch, "right")
+
+
 class TestTrainLayer:
     def test_never_worse_than_the_initial_point(self):
         rng = np.random.default_rng(14)
@@ -341,10 +475,35 @@ class TestTrainLayer:
         config = LayerConfig("patch", 1, 2, 6, num_training_pairs=200, seed=0)
         init = random_params(rng, 6, dim, alpha=0.7)
         batch = random_batch(rng, 200, dim)
-        trained = train_layer(batch, config, init)
+        trained, fit = train_layer(batch, config, init)
         before = objective_and_gradient(init, batch)[0]
         after = objective_and_gradient(trained, batch)[0]
         assert after <= before
+        assert 0 <= fit.iterations <= LBFGS_MAX_ITER
+        assert fit.evaluations > fit.iterations
+        assert not fit.fell_back
+
+    def test_a_failed_solve_falls_back_to_the_initial_point(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        config = LayerConfig("patch", 1, 2, 3, num_training_pairs=20, seed=0)
+        init = random_params(rng, 3, 2, alpha=0.7)
+        batch = random_batch(rng, 20, 2)
+
+        class Diverged:
+            @staticmethod
+            def minimize(fun, x0, **kwargs):
+                fun(x0 + 1.0)
+                return optimize.OptimizeResult(
+                    x=x0 + 1.0, fun=np.nan, nit=3, status=2
+                )
+
+        monkeypatch.setattr(kernel_layer, "optimize", Diverged)
+        trained, fit = train_layer(batch, config, init)
+        np.testing.assert_array_equal(trained.filters, init.filters)
+        np.testing.assert_array_equal(trained.weights, init.weights)
+        assert fit == kernel_layer.FitOutcome(
+            iterations=3, evaluations=2, status=2, fell_back=True
+        )
 
     def test_held_out_fit_improves_with_width(self):
         # Median held-out residual over five seeds must not grow as the
@@ -367,7 +526,7 @@ class TestTrainLayer:
             config = LayerConfig(
                 "patch", 1, 1, num_filters, num_training_pairs=4000, seed=seed
             )
-            trained = train_layer(train, config, init)
+            trained, _ = train_layer(train, config, init)
             loss = objective_and_gradient(trained, held)[0]
             return float(np.sqrt(loss / len(held)))
 
@@ -394,10 +553,12 @@ class TestSampleTrainingPairs:
         vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         pool = SubPatchPool(np.ones(50), vectors)
         batch = sample_training_pairs(pool, 500, 0.9, seed=3)
-        d2 = np.sum((batch.left - batch.right) ** 2, axis=1)
+        left, right = recover_pairs(vectors, batch)
+        d2 = np.sum((left - right) ** 2, axis=1)
         np.testing.assert_allclose(
             batch.targets, np.exp(-d2 / (2 * 0.81)), rtol=1e-12
         )
+        np.testing.assert_allclose(batch.sq_norms, 2.0, rtol=1e-12)
         assert (batch.targets > 0).all() and (batch.targets <= 1).all()
 
     def test_seeded_and_skips_zero_rows(self):
@@ -406,9 +567,10 @@ class TestSampleTrainingPairs:
         pool = SubPatchPool(norms, vectors)
         one = sample_training_pairs(pool, 64, 1.0, seed=11)
         two = sample_training_pairs(pool, 64, 1.0, seed=11)
-        np.testing.assert_array_equal(one.left, two.left)
-        assert (np.linalg.norm(one.left, axis=1) > 0).all()
-        assert (np.linalg.norm(one.right, axis=1) > 0).all()
+        np.testing.assert_array_equal(one.sums, two.sums)
+        np.testing.assert_array_equal(one.sq_norms, two.sq_norms)
+        # Both members of every pair are unit rows, never the zero rows.
+        np.testing.assert_array_equal(one.sq_norms, 2.0)
 
     def test_degenerate_pool_raises(self):
         pool = SubPatchPool(np.zeros(4), np.zeros((4, 2)))

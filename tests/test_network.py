@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cskn.epls import PretrainConfig
 from cskn.errors import InvalidArgumentError
 from cskn.featmap import FeatureMap
-from cskn.kernel_layer import LayerConfig, LayerParams
+from cskn.kernel_layer import LBFGS_MAX_ITER, LayerConfig, LayerParams
 from cskn.network import (
     DegenerateGridWarning,
     ModelBundle,
@@ -280,6 +280,17 @@ class TestTrainNetwork:
             final = model.provenance[f"layer{i}_pair_loss_final"]
             assert final <= init
             assert model.provenance[f"layer{i}_alpha"] > 0
+            iterations = model.provenance[f"layer{i}_lbfgs_iterations"]
+            evaluations = model.provenance[f"layer{i}_lbfgs_evaluations"]
+            status = model.provenance[f"layer{i}_lbfgs_status"]
+            fell_back = model.provenance[f"layer{i}_lbfgs_fell_back"]
+            assert all(
+                type(value) is int
+                for value in (iterations, evaluations, status, fell_back)
+            )
+            assert 0 <= iterations <= LBFGS_MAX_ITER
+            assert evaluations > iterations
+            assert fell_back in (0, 1)
         assert model.provenance["layer1_beta"] == pytest.approx(4 / np.sqrt(2))
         assert model.provenance["layer2_beta"] == pytest.approx(2 / np.sqrt(2))
 
