@@ -50,7 +50,7 @@ def fidelity_mae(
     full = SubPatchPool.from_grids(grids)
     pool = SubPatchPool(full.norms[:pool_size], full.normalized[:pool_size])
     held_out = [(make_map(), make_map()) for _ in range(held_out_pairs)]
-    alpha = estimate_alpha(pool, 0.1, seed=seed)
+    alpha = estimate_alpha(pool.normalized, 0.1, seed=seed)
     beta = compute_beta(factor)
     batch = sample_training_pairs(pool, pairs, alpha, seed=seed + 1)
     nonzero = pool.normalized[pool.norms > 0]

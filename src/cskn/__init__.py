@@ -7,144 +7,4 @@ pretraining pass. Image descriptors come from spatial-pyramid pooling of
 the top layer and feed linear classification and retrieval.
 """
 
-from .epls import (
-    InhibitorState,
-    PretrainConfig,
-    SparseTarget,
-    epls_epoch_step,
-    init_gradient_layer,
-    pretrain_layer,
-    remap_targets,
-)
-from .errors import (
-    CapacityExhaustedError,
-    ConfigError,
-    CsknError,
-    DataError,
-    DecodeError,
-    DegeneratePoolError,
-    DegenerateSampleError,
-    FormatError,
-    InvalidArgumentError,
-    NumericFailureError,
-    UndefinedMetricError,
-    UsageError,
-)
-from .evalkit import (
-    ClassifierParams,
-    RetrievalRun,
-    precision_at_q,
-    predict,
-    rank_by_euclidean,
-    roc_auc,
-    top1_accuracy,
-    train_svm,
-)
-from .featmap import (
-    FeatureMap,
-    GradientEncoding,
-    SubPatchGrid,
-    SubPatchPool,
-    build_gradient_map,
-    extract_subpatches,
-    gradient_subpatches,
-)
-from .images import bilinear_resize, decode_netpbm, load_image, rgb_to_luma, write_pgm, write_ppm
-from .kernel_layer import (
-    LayerConfig,
-    LayerParams,
-    PairBatch,
-    activation_h,
-    approx_kernel,
-    compute_beta,
-    estimate_alpha,
-    objective_and_gradient,
-    sample_training_pairs,
-    spatial_pool_g,
-    train_layer,
-)
-from .model_io import load_descriptors, load_model, save_descriptors, save_model
-from .network import (
-    DegenerateGridWarning,
-    ModelBundle,
-    PyramidDescriptor,
-    TrainedLayer,
-    forward_layer,
-    forward_network,
-    spp_pool,
-    train_network,
-)
-from .oracle import ErrorReport, embedding_error_report, exact_match_kernel, finite_diff_gradient
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapacityExhaustedError",
-    "ClassifierParams",
-    "ConfigError",
-    "CsknError",
-    "DataError",
-    "DecodeError",
-    "DegenerateGridWarning",
-    "DegeneratePoolError",
-    "DegenerateSampleError",
-    "ErrorReport",
-    "FeatureMap",
-    "FormatError",
-    "GradientEncoding",
-    "InhibitorState",
-    "InvalidArgumentError",
-    "LayerConfig",
-    "LayerParams",
-    "ModelBundle",
-    "NumericFailureError",
-    "PairBatch",
-    "PretrainConfig",
-    "PyramidDescriptor",
-    "RetrievalRun",
-    "SparseTarget",
-    "SubPatchGrid",
-    "SubPatchPool",
-    "TrainedLayer",
-    "UndefinedMetricError",
-    "UsageError",
-    "activation_h",
-    "approx_kernel",
-    "bilinear_resize",
-    "build_gradient_map",
-    "compute_beta",
-    "decode_netpbm",
-    "embedding_error_report",
-    "epls_epoch_step",
-    "estimate_alpha",
-    "exact_match_kernel",
-    "extract_subpatches",
-    "finite_diff_gradient",
-    "forward_layer",
-    "forward_network",
-    "gradient_subpatches",
-    "init_gradient_layer",
-    "load_descriptors",
-    "load_image",
-    "load_model",
-    "objective_and_gradient",
-    "precision_at_q",
-    "predict",
-    "pretrain_layer",
-    "rank_by_euclidean",
-    "remap_targets",
-    "rgb_to_luma",
-    "roc_auc",
-    "sample_training_pairs",
-    "save_descriptors",
-    "save_model",
-    "spatial_pool_g",
-    "spp_pool",
-    "top1_accuracy",
-    "train_layer",
-    "train_network",
-    "train_svm",
-    "write_pgm",
-    "write_ppm",
-    "__version__",
-]

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .evalkit import precision_at_q, predict, rank_by_euclidean, roc_auc, top1_accuracy, train_svm
 from .images import load_image
-from .model_io import load_descriptors, load_model, save_descriptors, save_model
+from .model_io import load_model, save_descriptors, save_model
 from .network import ModelBundle, forward_network, train_network
 from .selftest import run_selftest
 
@@ -130,19 +130,22 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     q_values = _parse_q_list(args.q)
     gallery = _descriptor_matrix(model, manifest, gallery_entries)
     queries = _descriptor_matrix(model, manifest, query_entries)
-    gallery_labels = [entry.label for entry in gallery_entries]
     rows: list[tuple[str, str]] = [
         ("num_gallery", str(len(gallery_entries))),
         ("num_queries", str(len(query_entries))),
     ]
     precisions: dict[int, list[float]] = {q: [] for q in q_values}
+    gallery_ids = [entry.path for entry in gallery_entries]
     for entry, vector in zip(query_entries, queries):
+        # A train-split query is in the gallery; its own row would rank
+        # first at distance 0, so it is left out of its ranking.
+        keep = [i for i, path in enumerate(gallery_ids) if path != entry.path]
         run = rank_by_euclidean(
             vector,
-            gallery,
+            gallery if len(keep) == len(gallery_ids) else gallery[keep],
             query_id=entry.path,
-            gallery_ids=[e.path for e in gallery_entries],
-            relevant=[label == entry.label for label in gallery_labels],
+            gallery_ids=[gallery_ids[i] for i in keep],
+            relevant=[gallery_entries[i].label == entry.label for i in keep],
         )
         for q in q_values:
             # Small galleries clamp the cutoff so every requested Q reports.

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .epls import PretrainConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvalidArgumentError
 from .kernel_layer import LayerConfig
-from .network import DEFAULT_PYRAMID_LEVELS
+from .network import DEFAULT_PYRAMID_LEVELS, check_layer_input, check_pyramid_levels
 
 SPLITS = ("train", "test")
 COLOR_MODES = ("gray", "rgb")
@@ -147,6 +147,7 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
     pretrain: dict[str, str] = {}
     layer_sections: dict[int, dict[str, str]] = {}
     layer_lines: dict[int, int] = {}
+    top_lines: dict[str, int] = {}
     section: str | None = None
     current: dict[str, str] = top
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -189,6 +190,8 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
         if key in current:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in {where}")
         current[key] = value
+        if section is None:
+            top_lines[key] = lineno
 
     lineno = 0
     input_size = _parse_int(source, lineno, "input_size", top.get("input_size", "200"))
@@ -200,12 +203,15 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
     if levels_text is None:
         levels = DEFAULT_PYRAMID_LEVELS
     else:
+        where = f"{source}:{top_lines['pyramid_levels']}"
         try:
             levels = tuple(int(part.strip()) for part in levels_text.split(","))
         except ValueError:
-            raise ConfigError(f"{source}: pyramid_levels expects integers, got {levels_text!r}")
-    if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError(f"{source}: pyramid_levels must be strictly increasing")
+            raise ConfigError(f"{where}: pyramid_levels expects integers, got {levels_text!r}")
+        try:
+            levels = check_pyramid_levels(levels)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"{where}: pyramid_levels: {exc}") from exc
     if input_size < 2:
         raise ConfigError(f"{source}: input_size must be >= 2")
     if seed < 0:
@@ -241,19 +247,10 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
                 raise ConfigError(
                     f"{source}:{lineno}: [layer{number}] is missing {required!r}"
                 )
-        kind = keys["input"]
-        if kind not in ("patch", "gradient"):
-            raise ConfigError(
-                f"{source}:{lineno}: input must be patch or gradient, got {kind!r}"
-            )
-        if kind == "gradient" and number != 1:
-            raise ConfigError(
-                f"{source}:{lineno}: gradient input is only allowed in [layer1]"
-            )
         try:
             layers.append(
                 LayerConfig(
-                    input_kind=kind,
+                    input_kind=keys["input"],
                     sub_patch_size=_parse_int(
                         source, lineno, "sub_patch_size", keys["sub_patch_size"]
                     ),
@@ -277,6 +274,7 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
                     ),
                 )
             )
+            check_layer_input(number - 1, layers[-1])
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: invalid [layer{number}]: {exc}") from exc
     return RunConfig(

@@ -21,7 +21,7 @@ from .errors import (
     InvalidArgumentError,
     NumericFailureError,
 )
-from .featmap import SubPatchGrid, SubPatchPool
+from .featmap import SubPatchPool
 from .kernel_layer import (
     WEIGHT_FLOOR,
     LayerConfig,
@@ -35,33 +35,21 @@ _RMS_EPSILON = 1e-8
 
 @dataclass(frozen=True)
 class SparseTarget:
-    """One-hot-per-row target matrix with configurable on/off values."""
+    """One-hot-per-row target matrix: a single 1 per row, 0 elsewhere."""
 
     matrix: np.ndarray
-    active_value: float = 1.0
-    inactive_value: float = 0.0
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=np.float64, copy=True)
-        active = float(self.active_value)
-        inactive = float(self.inactive_value)
         if mat.ndim != 2 or mat.size == 0:
             raise InvalidArgumentError("target matrix must be nonempty and 2-D")
-        if active == inactive:
-            raise InvalidArgumentError("active and inactive values must differ")
-        is_active = mat == active
-        is_inactive = mat == inactive
-        if not np.logical_or(is_active, is_inactive).all():
-            raise InvalidArgumentError("target entries must be active or inactive")
+        is_active = mat == 1.0
+        if not np.logical_or(is_active, mat == 0.0).all():
+            raise InvalidArgumentError("target entries must be 0 or 1")
         if not (is_active.sum(axis=1) == 1).all():
             raise InvalidArgumentError("each target row needs exactly one active entry")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "active_value", active)
-        object.__setattr__(self, "inactive_value", inactive)
-
-    def active_columns(self) -> np.ndarray:
-        return np.argmax(self.matrix == self.active_value, axis=1)
 
 
 @dataclass(frozen=True)
@@ -96,10 +84,6 @@ class InhibitorState:
     @property
     def num_outputs(self) -> int:
         return self.selection_counts.shape[0]
-
-    @property
-    def accumulators(self) -> np.ndarray:
-        return self.selection_counts * (self.num_outputs / self.epoch_total)
 
 
 @dataclass(frozen=True)
@@ -202,19 +186,8 @@ def epls_epoch_step(
     return SparseTarget(matrix), InhibitorState(counts, total)
 
 
-def remap_targets(
-    target: SparseTarget, active_value: float, inactive_value: float
-) -> SparseTarget:
-    """Relabel a target matrix onto new active/inactive values."""
-    if active_value == inactive_value:
-        raise InvalidArgumentError("active and inactive values must differ")
-    mask = target.matrix == target.active_value
-    matrix = np.where(mask, active_value, inactive_value)
-    return SparseTarget(matrix, active_value, inactive_value)
-
-
 def pretrain_layer(
-    pool: SubPatchPool | SubPatchGrid,
+    pool: SubPatchPool,
     config: LayerConfig,
     pcfg: PretrainConfig,
     alpha: float,
@@ -297,7 +270,7 @@ def init_gradient_layer(num_orientations: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (filters, weights): filters[i] = (cos, sin) of 2*pi*i/n and
     uniform weights 1/n. This replaces sparsity pre-training when the
-    layer input is the 2-D gradient encoding.
+    layer input is the (gx, gy) gradient map.
     """
     n = int(num_orientations)
     if n < 1:

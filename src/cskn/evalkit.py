@@ -9,8 +9,8 @@ rank-statistic area under the ROC curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import optimize
@@ -44,7 +44,6 @@ class ClassifierParams:
     biases: np.ndarray
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    provenance: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -64,7 +63,6 @@ class ClassifierParams:
         object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "feature_mean", mean)
         object.__setattr__(self, "feature_std", std)
-        object.__setattr__(self, "provenance", dict(self.provenance))
 
     def standardize(self, features) -> np.ndarray:
         matrix = _as_matrix(features)
@@ -95,15 +93,13 @@ def train_svm(
     features,
     labels: Sequence[str],
     regularization: float = 1.0,
-    step: float = 0.1,
 ) -> ClassifierParams:
     """Fit one-vs-rest squared-hinge linear classifiers.
 
     Features are standardized with training statistics (near-constant
     dimensions fall back to unit scale). Per class the objective is
     ``regularization * ||w||^2 + mean(max(0, 1 - y * (w.x + b))^2)``,
-    minimized by L-BFGS from zero. ``step`` is recorded for provenance;
-    the quasi-Newton line search governs actual step lengths.
+    minimized by L-BFGS from zero.
     """
     matrix = _as_matrix(features)
     labels = [str(label) for label in labels]
@@ -147,7 +143,6 @@ def train_svm(
         biases=biases,
         feature_mean=mean,
         feature_std=std,
-        provenance={"regularization": float(regularization), "step": float(step)},
     )
 
 

@@ -1,11 +1,12 @@
-"""Feature maps, sub-patch extraction, and gradient encodings.
+"""Feature maps, sub-patch extraction, and the gradient map.
 
 A feature map is a 2-D grid of per-location feature vectors: a grayscale
-image (one channel), an RGB image (three), or the output of a network
-layer (one channel per filter). Sub-patches are square windows of a map,
-split into a magnitude (the window's Euclidean norm) and a direction (the
-contrast-normalized window), so that downstream similarity is computed on
-the unit sphere while magnitudes re-enter as linear weights.
+image (one channel), an RGB image (three), the (gx, gy) gradient map of a
+grayscale image (two), or the output of a network layer (one channel per
+filter). Sub-patches are square windows of a map, split into a magnitude
+(the window's Euclidean norm) and a direction (the contrast-normalized
+window), so that downstream similarity is computed on the unit sphere
+while magnitudes re-enter as linear weights.
 """
 
 from __future__ import annotations
@@ -59,62 +60,24 @@ class FeatureMap:
 
 
 @dataclass(frozen=True)
-class SubPatch:
-    """One extracted window: location, raw vector, and its polar split."""
-
-    center: tuple[int, int]
-    raw: np.ndarray
-    norm: float
-    normalized: np.ndarray
-
-
 class SubPatchGrid:
     """All valid sub-patches of one map, in raster (row-major) order.
 
-    Arrays are stored stacked for vectorized math: ``raw`` and
-    ``normalized`` are (count, dim), ``norms`` is (count,), ``centers`` is
-    (count, 2) in (row, col) order on the source grid. Windows whose raw
-    vector is all zero get a zero ``normalized`` vector and norm 0.
+    ``grid_shape`` is the (rows, cols) window grid; ``normalized`` is
+    (rows * cols, dim) and ``norms`` is (rows * cols,). A window whose
+    vector is all zero has norm 0 and a zero ``normalized`` row.
     """
 
-    def __init__(
-        self,
-        grid_shape: tuple[int, int],
-        patch_size: int,
-        centers: np.ndarray,
-        raw: np.ndarray,
-        norms: np.ndarray,
-        normalized: np.ndarray,
-    ) -> None:
-        self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
-        self.patch_size = int(patch_size)
-        self.centers = centers
-        self.raw = raw
-        self.norms = norms
-        self.normalized = normalized
-        count = self.grid_shape[0] * self.grid_shape[1]
-        if not (
-            raw.shape[0] == count
-            and norms.shape == (count,)
-            and normalized.shape == raw.shape
-            and centers.shape == (count, 2)
-        ):
-            raise InvalidArgumentError("inconsistent sub-patch grid arrays")
+    grid_shape: tuple[int, int]
+    norms: np.ndarray
+    normalized: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.raw.shape[1]
+        return self.normalized.shape[1]
 
     def __len__(self) -> int:
-        return self.raw.shape[0]
-
-    def __getitem__(self, index: int) -> SubPatch:
-        return SubPatch(
-            center=(int(self.centers[index, 0]), int(self.centers[index, 1])),
-            raw=self.raw[index],
-            norm=float(self.norms[index]),
-            normalized=self.normalized[index],
-        )
+        return self.norms.shape[0]
 
 
 class SubPatchPool:
@@ -144,21 +107,14 @@ class SubPatchPool:
         return self.norms.shape[0]
 
 
-def _split_norms(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(raw, axis=1)
-    normalized = np.divide(
-        raw, norms[:, np.newaxis], out=np.zeros_like(raw), where=norms[:, np.newaxis] > 0
-    )
-    return norms, normalized
-
-
 def extract_subpatches(feature_map: FeatureMap, patch_size: int) -> SubPatchGrid:
     """Extract every valid (fully inside) square window of the map.
 
     The window grid has (height - e + 1) x (width - e + 1) entries for
-    window side e, in raster order. Each raw vector concatenates the
+    window side e, in raster order. Each window's vector concatenates the
     window per channel (all of channel 0, then channel 1, ...), each
-    channel block in row-major order.
+    channel block in row-major order; with e = 1 it is the pixel's
+    channel vector.
     """
     e = int(patch_size)
     if e < 1:
@@ -170,85 +126,34 @@ def extract_subpatches(feature_map: FeatureMap, patch_size: int) -> SubPatchGrid
         )
     windows = sliding_window_view(feature_map.values, (e, e), axis=(0, 1))
     rows, cols = windows.shape[0], windows.shape[1]
-    # (rows, cols, c, e, e) flattens to channel-major sub-patch vectors.
-    raw = np.ascontiguousarray(windows).reshape(rows * cols, c * e * e)
-    norms, normalized = _split_norms(raw)
-    off = (e - 1) // 2
-    rr, cc = np.meshgrid(
-        np.arange(rows, dtype=np.int64) + off,
-        np.arange(cols, dtype=np.int64) + off,
-        indexing="ij",
-    )
-    centers = np.stack([rr.ravel(), cc.ravel()], axis=1)
-    return SubPatchGrid((rows, cols), e, centers, raw, norms, normalized)
+    # (rows, cols, c, e, e) flattens to channel-major sub-patch vectors,
+    # copied once into a buffer that is then normalized in place.
+    normalized = np.empty((rows * cols, c * e * e))
+    normalized.reshape(windows.shape)[...] = windows
+    norms = np.linalg.norm(normalized, axis=1)
+    np.divide(normalized, norms[:, np.newaxis], out=normalized, where=norms[:, np.newaxis] > 0)
+    # A window of tiny values whose squares underflow also has norm 0; its
+    # direction must be zero like that of an all-zero window.
+    normalized[norms == 0] = 0.0
+    return SubPatchGrid((rows, cols), norms, normalized)
 
 
-@dataclass(frozen=True)
-class GradientEncoding:
-    """First-difference gradients of a single-channel map.
-
-    ``magnitude`` is (height-1, width-1); ``direction`` is
-    (height-1, width-1, 2) holding unit vectors (cos, sin) of the gradient
-    angle, zero where the magnitude is zero.
-    """
-
-    magnitude: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self) -> None:
-        mag = np.asarray(self.magnitude, dtype=np.float64)
-        dirs = np.asarray(self.direction, dtype=np.float64)
-        if mag.ndim != 2 or dirs.shape != mag.shape + (2,):
-            raise InvalidArgumentError("inconsistent gradient arrays")
-        if not (np.isfinite(mag).all() and np.isfinite(dirs).all()):
-            raise InvalidArgumentError("gradient encoding contains non-finite values")
-        if (mag < 0).any():
-            raise InvalidArgumentError("gradient magnitudes must be nonnegative")
-        object.__setattr__(self, "magnitude", mag)
-        object.__setattr__(self, "direction", dirs)
-
-
-def build_gradient_map(image: FeatureMap) -> GradientEncoding:
-    """Forward-difference gradients on the interior grid.
+def build_gradient_map(image: FeatureMap) -> FeatureMap:
+    """Forward-difference gradients as a 2-channel (gx, gy) map.
 
     gx(r, c) = I(r, c+1) - I(r, c) and gy(r, c) = I(r+1, c) - I(r, c),
     both defined on rows 0..H-2 and cols 0..W-2 (the last row and column
-    are dropped so the two differences share a grid).
+    are dropped so the two differences share a grid). A gradient layer
+    reads this map through 1x1 sub-patches: each norm is the gradient
+    magnitude and each direction the gradient orientation.
     """
     if image.channels != 1:
         raise InvalidArgumentError(
-            f"gradient encoding requires a single-channel map, got {image.channels}"
+            f"gradient map requires a single-channel map, got {image.channels}"
         )
     if image.height < 2 or image.width < 2:
-        raise InvalidArgumentError("gradient encoding needs at least a 2x2 map")
+        raise InvalidArgumentError("gradient map needs at least a 2x2 map")
     plane = image.values[:, :, 0]
     gx = plane[:-1, 1:] - plane[:-1, :-1]
     gy = plane[1:, :-1] - plane[:-1, :-1]
-    magnitude = np.hypot(gx, gy)
-    stacked = np.stack([gx, gy], axis=2)
-    direction = np.divide(
-        stacked,
-        magnitude[:, :, np.newaxis],
-        out=np.zeros_like(stacked),
-        where=magnitude[:, :, np.newaxis] > 0,
-    )
-    return GradientEncoding(magnitude, direction)
-
-
-def gradient_subpatches(encoding: GradientEncoding) -> SubPatchGrid:
-    """View a gradient encoding as a grid of 2-D sub-patches.
-
-    Each pixel contributes one sub-patch whose raw vector is
-    magnitude * direction, so the norm is the gradient magnitude and the
-    normalized vector is the orientation.
-    """
-    rows, cols = encoding.magnitude.shape
-    count = rows * cols
-    norms = encoding.magnitude.reshape(count).copy()
-    normalized = encoding.direction.reshape(count, 2).copy()
-    raw = normalized * norms[:, np.newaxis]
-    rr, cc = np.meshgrid(
-        np.arange(rows, dtype=np.int64), np.arange(cols, dtype=np.int64), indexing="ij"
-    )
-    centers = np.stack([rr.ravel(), cc.ravel()], axis=1)
-    return SubPatchGrid((rows, cols), 1, centers, raw, norms, normalized)
+    return FeatureMap(np.stack([gx, gy], axis=2))

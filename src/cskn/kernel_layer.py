@@ -48,10 +48,10 @@ INPUT_KINDS = ("patch", "gradient")
 class LayerConfig:
     """Architecture and training knobs for one layer.
 
-    ``input_kind`` selects raw sub-patches ("patch") or the 2-D gradient
-    encoding ("gradient", first layer only). ``sub_patch_size`` is the
-    window side, ``subsampling_factor`` the pooling stride, and
-    ``num_filters`` the embedding width.
+    ``input_kind`` selects sub-patches of the input map ("patch") or 1x1
+    sub-patches of its (gx, gy) gradient map ("gradient", first layer
+    only). ``sub_patch_size`` is the window side, ``subsampling_factor``
+    the pooling stride, and ``num_filters`` the embedding width.
     """
 
     input_kind: str
@@ -64,7 +64,9 @@ class LayerConfig:
 
     def __post_init__(self) -> None:
         if self.input_kind not in INPUT_KINDS:
-            raise InvalidArgumentError(f"unknown input kind {self.input_kind!r}")
+            raise InvalidArgumentError(
+                f"input must be patch or gradient, got {self.input_kind!r}"
+            )
         if self.sub_patch_size < 1:
             raise InvalidArgumentError("sub_patch_size must be >= 1")
         if self.input_kind == "gradient" and self.sub_patch_size != 1:
@@ -161,8 +163,8 @@ class PairBatch:
             and np.isfinite(targets).all()
         ):
             raise InvalidArgumentError("pair batch contains non-finite values")
-        if (targets <= 0).any() or (targets > 1).any():
-            raise InvalidArgumentError("targets must lie in (0, 1]")
+        if (targets < 0).any() or (targets > 1).any():
+            raise InvalidArgumentError("targets must lie in [0, 1]")
         sums = np.add(left, right)
         sq_norms = np.einsum("ij,ij->i", left, left)
         sq_norms += np.einsum("ij,ij->i", right, right)
@@ -195,7 +197,7 @@ def _nonzero_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def estimate_alpha(
-    subpatches: np.ndarray | SubPatchPool | SubPatchGrid,
+    normalized: np.ndarray,
     quantile: float,
     *,
     max_pairs: int = ALPHA_PAIR_SAMPLE_CAP,
@@ -203,15 +205,12 @@ def estimate_alpha(
 ) -> float:
     """Similarity bandwidth: a quantile of pairwise patch distances.
 
-    Accepts a (count, dim) matrix of normalized sub-patch vectors or any
-    sub-patch collection; all-zero rows (zero-norm windows) are ignored.
-    When the number of distinct unordered pairs exceeds ``max_pairs`` a
+    Takes a (count, dim) matrix of normalized sub-patch vectors (a pool's
+    ``normalized``); all-zero rows (zero-norm windows) are ignored. When
+    the number of distinct unordered pairs exceeds ``max_pairs`` a
     uniform sample of that many pairs is used instead of the full set.
     """
-    if isinstance(subpatches, (SubPatchPool, SubPatchGrid)):
-        vectors = subpatches.normalized
-    else:
-        vectors = np.asarray(subpatches, dtype=np.float64)
+    vectors = np.asarray(normalized, dtype=np.float64)
     if vectors.ndim != 2:
         raise InvalidArgumentError("expected a (count, dim) matrix of sub-patches")
     vectors = _nonzero_rows(vectors)
@@ -303,7 +302,8 @@ def _pooling_operator(h: int, w: int, beta: float, f: int) -> sparse.csr_array:
     rows = (f // 2 + f * np.arange(-(-h // f)))[:, np.newaxis] + offsets[:, 0]
     cols = (f // 2 + f * np.arange(-(-w // f)))[:, np.newaxis] + offsets[:, 1]
     inside = ((rows >= 0) & (rows < h))[:, np.newaxis] & ((cols >= 0) & (cols < w))
-    index = sparse.get_index_dtype(maxval=max(h * w, inside.size))
+    # The smallest index dtype that holds every column and offset.
+    index = np.int32 if max(h * w, inside.size) <= np.iinfo(np.int32).max else np.int64
     columns = rows.astype(index)[:, np.newaxis] * w + cols.astype(index)
     taps = np.broadcast_to(kernel[kernel > 0.0], inside.shape)[inside]
     indptr = np.zeros(rows.shape[0] * cols.shape[0] + 1, dtype=index)
@@ -495,7 +495,7 @@ def train_layer(
 
 
 def sample_training_pairs(
-    pool: SubPatchPool | SubPatchGrid, count: int, alpha: float, seed: int
+    pool: SubPatchPool, count: int, alpha: float, seed: int
 ) -> PairBatch:
     """Draw pairs of nonzero sub-patches uniformly with replacement.
 

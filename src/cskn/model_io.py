@@ -5,12 +5,15 @@ format version, followed by a length-prefixed payload: scalars in fixed
 little-endian integer/float64 fields, arrays as float32 little-endian
 row-major data behind a dimension header. Descriptor files use the magic
 ``CSKD`` with the same array convention. All writes are deterministic
-functions of their inputs, so equal models produce equal bytes.
+functions of their inputs, so equal models produce equal bytes, and
+atomic: a temp file in the target's directory replaces the target only
+once it is complete.
 """
 
 from __future__ import annotations
 
 import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -182,14 +185,30 @@ def _encode_model(model: ModelBundle) -> bytes:
     payload = body.blob()
     head = _Writer()
     head.parts.append(MODEL_MAGIC)
-    head.u32(model.format_version)
+    head.u32(FORMAT_VERSION)
     head.parts.append(struct.pack("<Q", len(payload)))
     return head.blob() + payload
 
 
+def _write_atomic(path: str | os.PathLike, data: bytes) -> None:
+    """Write ``data`` to a fresh temp file beside ``path``, then rename it
+    over ``path``; a failed write removes the temp file and leaves any
+    earlier file at ``path`` untouched."""
+    target = Path(path)
+    temp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    handle = open(temp, "xb")
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save_model(model: ModelBundle, path: str | os.PathLike) -> None:
     """Serialize a sealed model bundle to ``path``."""
-    Path(path).write_bytes(_encode_model(model))
+    _write_atomic(path, _encode_model(model))
 
 
 def load_model(path: str | os.PathLike) -> ModelBundle:
@@ -252,7 +271,6 @@ def load_model(path: str | os.PathLike) -> ModelBundle:
             layers=tuple(layers),
             pyramid_levels=levels,
             input_size=input_size,
-            format_version=version,
             provenance=provenance,
         )
     except ValueError as exc:
@@ -278,7 +296,7 @@ def save_descriptors(
         writer.string(label)
         writer.u8(0 if split == "train" else 1)
     writer.array_f32(matrix)
-    Path(path).write_bytes(writer.blob())
+    _write_atomic(path, writer.blob())
 
 
 def load_descriptors(

@@ -5,7 +5,7 @@ pyramid levels used to summarize the final map into a fixed-length
 descriptor. Training is layer-wise and fully unsupervised: harvest
 sub-patches from the current maps, estimate the similarity bandwidth,
 initialize filters (sparsity pre-training, or fixed orientations for a
-gradient-encoded first layer), then fit the pair objective.
+gradient first layer), then fit the pair objective.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .featmap import (
     SubPatchPool,
     build_gradient_map,
     extract_subpatches,
-    gradient_subpatches,
 )
 from .kernel_layer import (
     ALPHA_PAIR_SAMPLE_CAP,
@@ -44,11 +43,27 @@ from .kernel_layer import (
 )
 
 DEFAULT_PYRAMID_LEVELS = (1, 2, 3, 6)
-MODEL_FORMAT_VERSION = 1
 
 
 class DegenerateGridWarning(UserWarning):
     """A pyramid level exceeds the map extent; windows collapse to cells."""
+
+
+def check_pyramid_levels(levels: Sequence[int]) -> tuple[int, ...]:
+    """The pyramid rule: a nonempty, strictly increasing run of positive
+    window counts. Returns the levels as a tuple of ints."""
+    levels = tuple(int(n) for n in levels)
+    if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise InvalidArgumentError(
+            "pyramid levels must be strictly increasing positive counts"
+        )
+    return levels
+
+
+def check_layer_input(index: int, config: LayerConfig) -> None:
+    """The stacking rule: only the first layer (index 0) reads gradients."""
+    if config.input_kind == "gradient" and index > 0:
+        raise InvalidArgumentError("gradient input is only allowed in [layer1]")
 
 
 @dataclass(frozen=True)
@@ -90,31 +105,17 @@ class ModelBundle:
     layers: tuple[TrainedLayer, ...]
     pyramid_levels: tuple[int, ...] = DEFAULT_PYRAMID_LEVELS
     input_size: int = 200
-    format_version: int = MODEL_FORMAT_VERSION
     provenance: Mapping[str, int | float | str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         layers = tuple(self.layers)
-        levels = tuple(int(n) for n in self.pyramid_levels)
+        levels = check_pyramid_levels(self.pyramid_levels)
         if not layers:
             raise InvalidArgumentError("a model needs at least one layer")
-        if not levels or levels[0] < 1 or any(
-            b <= a for a, b in zip(levels, levels[1:])
-        ):
-            raise InvalidArgumentError(
-                "pyramid levels must be strictly increasing positive counts"
-            )
         if self.input_size < 2:
             raise InvalidArgumentError("input_size must be >= 2")
-        if self.format_version != MODEL_FORMAT_VERSION:
-            raise InvalidArgumentError(
-                f"unsupported model format version {self.format_version}"
-            )
         for index, layer in enumerate(layers):
-            if layer.config.input_kind == "gradient" and index > 0:
-                raise InvalidArgumentError(
-                    "gradient input is only allowed for the first layer"
-                )
+            check_layer_input(index, layer.config)
             if index > 0:
                 expected = (
                     layers[index - 1].config.num_filters
@@ -170,20 +171,11 @@ class PyramidDescriptor:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "channels", int(self.channels))
 
-    def level_slice(self, level: int) -> np.ndarray:
-        """The flat block belonging to one pyramid level."""
-        offset = 0
-        for n in self.levels:
-            size = n * n * self.channels
-            if n == level:
-                return self.values[offset : offset + size]
-            offset += size
-        raise InvalidArgumentError(f"level {level} not in {self.levels}")
-
 
 def _layer_grid(input_map: FeatureMap, config: LayerConfig) -> SubPatchGrid:
+    # A gradient layer is a 1x1 sub-patch layer over the (gx, gy) map.
     if config.input_kind == "gradient":
-        return gradient_subpatches(build_gradient_map(input_map))
+        input_map = build_gradient_map(input_map)
     return extract_subpatches(input_map, config.sub_patch_size)
 
 
@@ -209,11 +201,7 @@ def spp_pool(feature_map: FeatureMap, levels: Sequence[int]) -> PyramidDescripto
     nonzero value is 7.0 at the top-left corner pools at level 2 into
     four 2x2 windows and yields the block [7, 0, 0, 0].
     """
-    levels = tuple(int(n) for n in levels)
-    if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise InvalidArgumentError(
-            "pyramid levels must be strictly increasing positive counts"
-        )
+    levels = check_pyramid_levels(levels)
     vals = feature_map.values
     h, w, c = vals.shape
     blocks: list[np.ndarray] = []
@@ -290,10 +278,8 @@ def train_network(
         if image.channels != images[0].channels:
             raise InvalidArgumentError("all training images must share channels")
     for index, config in enumerate(configs):
-        if config.input_kind == "gradient" and index > 0:
-            raise InvalidArgumentError(
-                "gradient input is only allowed for the first layer"
-            )
+        check_layer_input(index, config)
+    pyramid_levels = check_pyramid_levels(pyramid_levels)
 
     provenance: dict[str, int | float | str] = {
         "lbfgs_memory": LBFGS_MEMORY,
@@ -314,7 +300,7 @@ def train_network(
         grids = [_layer_grid(m, config) for m in maps]
         pool = SubPatchPool.from_grids(grids)
         alpha_seed, pair_seed = _derived_seeds(config.seed)
-        alpha = estimate_alpha(pool, config.alpha_quantile, seed=alpha_seed)
+        alpha = estimate_alpha(pool.normalized, config.alpha_quantile, seed=alpha_seed)
         beta = compute_beta(config.subsampling_factor)
         if config.input_kind == "gradient":
             filters, weights = init_gradient_layer(config.num_filters)
@@ -342,7 +328,7 @@ def train_network(
         maps = [forward_layer(m, config, sealed.params) for m in maps]
     return ModelBundle(
         layers=tuple(layers),
-        pyramid_levels=tuple(int(n) for n in pyramid_levels),
+        pyramid_levels=pyramid_levels,
         input_size=size,
         provenance=provenance,
     )

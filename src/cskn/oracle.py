@@ -37,8 +37,9 @@ def exact_match_kernel(
         * exp(-||z - z'||^2 / (2 beta^2))
         * exp(-||s~_z - s~'_z'||^2 / (2 alpha^2))
 
-    Locations are valid-window indices; maps larger than 16x16 are
-    rejected because the double sum is meant for verification only.
+    Locations are valid-window indices (the kernel only sees their
+    differences); maps larger than 16x16 are rejected because the double
+    sum is meant for verification only.
     """
     if alpha <= 0 or beta <= 0:
         raise InvalidArgumentError("alpha and beta must be positive")
@@ -52,8 +53,8 @@ def exact_match_kernel(
         raise InvalidArgumentError("maps must share a channel count")
     grid_a = extract_subpatches(map_a, patch_size)
     grid_b = extract_subpatches(map_b, patch_size)
-    coords_a = grid_a.centers.astype(np.float64)
-    coords_b = grid_b.centers.astype(np.float64)
+    coords_a = np.indices(grid_a.grid_shape).reshape(2, -1).T.astype(np.float64)
+    coords_b = np.indices(grid_b.grid_shape).reshape(2, -1).T.astype(np.float64)
     total = 0.0
     two_a2 = 2.0 * alpha * alpha
     two_b2 = 2.0 * beta * beta

@@ -126,7 +126,7 @@ def _check_embedding_consistency(rng: np.random.Generator) -> str:
     pool_vectors = rng.normal(size=(400, 3))
     pool_vectors /= np.linalg.norm(pool_vectors, axis=1, keepdims=True)
     pool = SubPatchPool(np.ones(400), pool_vectors)
-    alpha = estimate_alpha(pool, 0.1, seed=3)
+    alpha = estimate_alpha(pool.normalized, 0.1, seed=3)
     config = LayerConfig("patch", 1, 1, 12, num_training_pairs=3000, seed=5)
     pcfg = PretrainConfig(
         batch_size=64, patches_per_epoch=256, epochs=2, seed=5

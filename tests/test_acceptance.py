@@ -156,7 +156,7 @@ def fidelity_mae(seed: int, num_filters: int) -> float:
     full = SubPatchPool.from_grids(grids)
     pool = SubPatchPool(full.norms[:2000], full.normalized[:2000])
     held_out = [(make_map(), make_map()) for _ in range(20)]
-    alpha = estimate_alpha(pool, 0.1, seed=seed)
+    alpha = estimate_alpha(pool.normalized, 0.1, seed=seed)
     beta = compute_beta(factor)
     batch = sample_training_pairs(pool, pairs, alpha, seed=seed + 1)
     nonzero = pool.normalized[pool.norms > 0]

@@ -174,6 +174,40 @@ class TestRetrieve:
         twin = json.loads(report.with_suffix(".tsv.json").read_text())
         assert twin == rows
 
+    def test_train_query_is_not_its_own_match(self, tiny_run, tmp_path):
+        # The query is the only train image of its label, so no other
+        # gallery item is relevant to it; it must not retrieve itself.
+        root = tiny_run["manifest"].parent
+        lines = tiny_run["manifest"].read_text(encoding="utf-8").splitlines()
+        rows = [line.split("\t") for line in lines if line.strip()]
+        label = rows[0][1]
+        query = next(path for path, lab, split in rows if lab == label and split == "train")
+        kept = [
+            (path, lab, split)
+            for path, lab, split in rows
+            if lab != label or split == "test" or path == query
+        ]
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(
+            "".join(f"{root / path}\t{lab}\t{split}\n" for path, lab, split in kept),
+            encoding="utf-8",
+        )
+        report = tmp_path / "r.tsv"
+        status = run_command(
+            [
+                "retrieve",
+                "--model", str(tiny_run["model"]),
+                "--manifest", str(manifest),
+                "--queries", str(root / query),
+                "--q", "1",
+                "--report", str(report),
+            ]
+        )
+        assert status == 0
+        rows = read_report(report)
+        assert rows["num_gallery"] == "9"
+        assert rows["precision@1"] == "0.000000"
+
     def test_unknown_query_path(self, tiny_run, tmp_path):
         status = run_command(
             [

@@ -13,7 +13,6 @@ from cskn.epls import (
     epls_epoch_step,
     init_gradient_layer,
     pretrain_layer,
-    remap_targets,
 )
 from cskn.errors import (
     CapacityExhaustedError,
@@ -28,7 +27,7 @@ from cskn.oracle import reference_epls_epoch_step
 class TestSparseTarget:
     def test_accepts_one_hot_rows(self):
         target = SparseTarget(np.eye(3))
-        np.testing.assert_array_equal(target.active_columns(), [0, 1, 2])
+        np.testing.assert_array_equal(target.matrix, np.eye(3))
 
     def test_rejects_multiple_active(self):
         with pytest.raises(InvalidArgumentError):
@@ -39,17 +38,12 @@ class TestSparseTarget:
             SparseTarget(np.array([[1.0, 0.5]]))
 
     def test_custom_value_pair(self):
-        target = SparseTarget(
-            np.array([[0.9, -0.9], [-0.9, 0.9]]), active_value=0.9, inactive_value=-0.9
-        )
-        np.testing.assert_array_equal(target.active_columns(), [0, 1])
+        # Targets are always 1/0: any other on/off pair is rejected.
+        with pytest.raises(InvalidArgumentError):
+            SparseTarget(np.array([[0.9, -0.9], [-0.9, 0.9]]))
 
 
 class TestInhibitorState:
-    def test_accumulators_are_proportional_to_counts(self):
-        state = InhibitorState(np.array([2, 0, 4]), epoch_total=12)
-        np.testing.assert_allclose(state.accumulators, [0.5, 0.0, 1.0])
-
     def test_fresh_state_is_zeroed(self):
         state = InhibitorState.fresh(5, 100)
         assert state.num_outputs == 5
@@ -86,7 +80,7 @@ class TestEpochStep:
     def test_tied_row_picks_lowest_index(self):
         outputs = np.array([[0.5, 0.5, 0.5], [0.2, 0.8, 0.2]])
         target, _ = epls_epoch_step(outputs, InhibitorState.fresh(3, 3))
-        assert target.active_columns()[0] == 0
+        assert target.matrix[0].argmax() == 0
 
     def test_state_threads_across_batches(self):
         rng = np.random.default_rng(0)
@@ -192,20 +186,6 @@ class TestEpochStepAgainstReference:
                 for counts in itertools.product(range(cap_hi + 2), repeat=num_outputs):
                     state = InhibitorState(np.array(counts), total)
                     assert_same_step(rng.random((3, num_outputs)), state)
-
-
-class TestRemapTargets:
-    def test_round_trip(self):
-        base = SparseTarget(np.eye(4)[[0, 2, 2, 3]])
-        wide = remap_targets(base, 0.95, 0.05)
-        assert set(np.unique(wide.matrix)) == {0.95, 0.05}
-        np.testing.assert_array_equal(wide.active_columns(), base.active_columns())
-        back = remap_targets(wide, 1.0, 0.0)
-        np.testing.assert_array_equal(back.matrix, base.matrix)
-
-    def test_rejects_equal_values(self):
-        with pytest.raises(InvalidArgumentError):
-            remap_targets(SparseTarget(np.eye(2)), 0.5, 0.5)
 
 
 def unit_pool(rng, count, dim=4):

@@ -1,4 +1,4 @@
-"""Feature maps, window extraction, and the gradient encoding."""
+"""Feature maps, window extraction, and the (gx, gy) gradient map."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,12 @@ from cskn.featmap import (
     SubPatchPool,
     build_gradient_map,
     extract_subpatches,
-    gradient_subpatches,
 )
+
+
+def raw_vectors(grid):
+    """Each window's vector, rebuilt from its polar split."""
+    return grid.normalized * grid.norms[:, np.newaxis]
 
 
 class TestFeatureMap:
@@ -48,27 +52,29 @@ class TestExtractSubpatches:
         grid = extract_subpatches(FeatureMap(values), 1)
         assert grid.grid_shape == (3, 4)
         assert grid.dim == 1
-        np.testing.assert_array_equal(grid.raw[:, 0], values.ravel())
-        np.testing.assert_array_equal(grid.centers[0], [0, 0])
-        np.testing.assert_array_equal(grid.centers[-1], [2, 3])
+        np.testing.assert_array_equal(grid.norms, values.ravel())
+        np.testing.assert_array_equal(grid.normalized[1:, 0], 1.0)
+        assert grid.normalized[0, 0] == 0.0
 
     def test_window_count_and_center_offset(self):
-        grid = extract_subpatches(FeatureMap(np.random.default_rng(0).random((5, 7))), 3)
+        values = np.random.default_rng(0).random((5, 7))
+        grid = extract_subpatches(FeatureMap(values), 3)
         assert grid.grid_shape == (3, 5)
         assert len(grid) == 15
-        # 3x3 windows anchor their center one pixel inside the map.
-        np.testing.assert_array_equal(grid.centers[0], [1, 1])
-        np.testing.assert_array_equal(grid.centers[-1], [3, 5])
+        # 3x3 windows center one pixel inside the map, in raster order:
+        # the first is centered on (1, 1), the last on (3, 5).
+        raw = raw_vectors(grid)
+        np.testing.assert_allclose(raw[0], values[0:3, 0:3].ravel(), rtol=1e-15)
+        np.testing.assert_allclose(raw[-1], values[2:5, 4:7].ravel(), rtol=1e-15)
 
     def test_vectors_are_channel_major(self):
         rng = np.random.default_rng(1)
         values = rng.random((4, 4, 2))
         grid = extract_subpatches(FeatureMap(values), 2)
-        top_left = grid.raw[0]
         expected = np.concatenate(
             [values[0:2, 0:2, 0].ravel(), values[0:2, 0:2, 1].ravel()]
         )
-        np.testing.assert_array_equal(top_left, expected)
+        np.testing.assert_allclose(raw_vectors(grid)[0], expected, rtol=1e-15)
         assert grid.dim == 8
 
     def test_norms_and_normalized_split(self):
@@ -77,14 +83,14 @@ class TestExtractSubpatches:
         values[0, 1] = 4.0
         grid = extract_subpatches(FeatureMap(values), 2)
         assert grid.norms[0] == pytest.approx(5.0)
-        np.testing.assert_allclose(
-            grid.normalized[0], grid.raw[0] / 5.0, atol=1e-15
-        )
+        np.testing.assert_allclose(grid.normalized[0], [0.6, 0.8, 0.0, 0.0], atol=1e-15)
 
     def test_zero_window_has_zero_direction(self):
-        grid = extract_subpatches(FeatureMap(np.zeros((3, 3))), 2)
-        assert (grid.norms == 0).all()
-        assert (grid.normalized == 0).all()
+        # 1e-170 squares to 0: such a window has norm 0 like an all-zero one.
+        for value in (0.0, 1e-170):
+            grid = extract_subpatches(FeatureMap(np.full((3, 3), value)), 2)
+            assert (grid.norms == 0).all()
+            assert (grid.normalized == 0).all()
 
     def test_rejects_oversized_patch(self):
         with pytest.raises(InvalidArgumentError):
@@ -93,15 +99,6 @@ class TestExtractSubpatches:
     def test_rejects_nonpositive_patch(self):
         with pytest.raises(InvalidArgumentError):
             extract_subpatches(FeatureMap(np.ones((3, 3))), 0)
-
-    def test_getitem_matches_arrays(self):
-        grid = extract_subpatches(
-            FeatureMap(np.random.default_rng(2).random((4, 4))), 2
-        )
-        patch = grid[5]
-        np.testing.assert_array_equal(patch.raw, grid.raw[5])
-        assert patch.norm == grid.norms[5]
-        assert patch.center == tuple(grid.centers[5])
 
     @given(scale=st.floats(min_value=0.1, max_value=50.0), seed=st.integers(0, 2**16))
     def test_scaling_moves_norms_not_directions(self, scale, seed):
@@ -133,6 +130,8 @@ class TestSubPatchPool:
 
 
 class TestGradientEncoding:
+    """The (gx, gy) map, and the 1x1 sub-patches a gradient layer reads."""
+
     def test_forward_differences_by_hand(self):
         values = np.array(
             [
@@ -141,29 +140,44 @@ class TestGradientEncoding:
                 [5.0, 7.0, 6.0],
             ]
         )
-        enc = build_gradient_map(FeatureMap(values))
+        gradients = build_gradient_map(FeatureMap(values))
         # gx = right neighbor minus self, gy = lower neighbor minus self.
-        assert enc.magnitude.shape == (2, 2)
-        np.testing.assert_allclose(
-            enc.magnitude,
-            np.hypot([[1.0, 2.0], [0.0, 2.0]], [[2.0, 1.0], [3.0, 5.0]]),
-        )
-        np.testing.assert_allclose(
-            enc.direction[0, 0], [1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0)]
-        )
+        assert gradients.values.shape == (2, 2, 2)
+        np.testing.assert_array_equal(gradients.values[:, :, 0], [[1.0, 2.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(gradients.values[:, :, 1], [[2.0, 1.0], [3.0, 5.0]])
+
+    def test_unit_windows_expose_polar_split(self):
+        plane = np.random.default_rng(5).random((20, 20))
+        plane[3:6, 3:6] = 0.25  # a flat block: zero gradients inside it
+        gradients = build_gradient_map(FeatureMap(plane)).values
+        gx = gradients[:, :, 0].ravel()
+        gy = gradients[:, :, 1].ravel()
+        grid = extract_subpatches(FeatureMap(gradients), 1)
+        assert grid.grid_shape == (19, 19)
+        assert grid.dim == 2
+        magnitude = np.hypot(gx, gy)
+        np.testing.assert_allclose(grid.norms, magnitude, rtol=4e-16, atol=0.0)
+        nonzero = magnitude > 0
+        orientation = np.stack([gx, gy], axis=1)[nonzero] / magnitude[nonzero, np.newaxis]
+        np.testing.assert_allclose(grid.normalized[nonzero], orientation, rtol=4e-16, atol=0.0)
+        assert (~nonzero).sum() == 4
+        assert (grid.norms[~nonzero] == 0).all()
+        assert (grid.normalized[~nonzero] == 0).all()
 
     def test_directions_are_unit_where_nonzero(self):
         values = np.random.default_rng(4).random((6, 6))
-        enc = build_gradient_map(FeatureMap(values))
-        lengths = np.linalg.norm(enc.direction, axis=2)
-        nonzero = enc.magnitude > 0
+        grid = extract_subpatches(build_gradient_map(FeatureMap(values)), 1)
+        lengths = np.linalg.norm(grid.normalized, axis=1)
+        nonzero = grid.norms > 0
         np.testing.assert_allclose(lengths[nonzero], 1.0, rtol=1e-12)
         assert (lengths[~nonzero] == 0).all()
 
     def test_constant_map_has_zero_gradients(self):
-        enc = build_gradient_map(FeatureMap(np.full((4, 4), 0.7)))
-        assert (enc.magnitude == 0).all()
-        assert (enc.direction == 0).all()
+        gradients = build_gradient_map(FeatureMap(np.full((4, 4), 0.7)))
+        assert (gradients.values == 0).all()
+        grid = extract_subpatches(gradients, 1)
+        assert (grid.norms == 0).all()
+        assert (grid.normalized == 0).all()
 
     def test_rejects_multichannel(self):
         with pytest.raises(InvalidArgumentError):
@@ -172,16 +186,6 @@ class TestGradientEncoding:
     def test_rejects_tiny_map(self):
         with pytest.raises(InvalidArgumentError):
             build_gradient_map(FeatureMap(np.ones((1, 5))))
-
-    def test_gradient_subpatches_expose_polar_split(self):
-        values = np.random.default_rng(5).random((5, 5))
-        enc = build_gradient_map(FeatureMap(values))
-        grid = gradient_subpatches(enc)
-        assert grid.grid_shape == (4, 4)
-        assert grid.dim == 2
-        np.testing.assert_array_equal(grid.norms, enc.magnitude.ravel())
-        np.testing.assert_allclose(
-            grid.raw, grid.normalized * grid.norms[:, np.newaxis], atol=1e-15
-        )
-        np.testing.assert_array_equal(grid.centers[0], [0, 0])
-        np.testing.assert_array_equal(grid.centers[-1], [3, 3])
+        with pytest.raises(InvalidArgumentError):
+            build_gradient_map(FeatureMap(np.ones((2, 1))))
+        assert build_gradient_map(FeatureMap(np.ones((2, 2)))).values.shape == (1, 1, 2)

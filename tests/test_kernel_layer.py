@@ -398,7 +398,7 @@ class TestPairObjectiveAgainstReference:
         rng = np.random.default_rng(30)
         raw = rng.normal(size=(60, 9))
         pool = SubPatchPool(np.ones(60), raw / np.linalg.norm(raw, axis=1)[:, None])
-        alpha = estimate_alpha(pool, 0.1, seed=1)
+        alpha = estimate_alpha(pool.normalized, 0.1, seed=1)
         batch = sample_training_pairs(pool, 400, alpha, seed=2)
         left, right = recover_pairs(pool.normalized, batch)
         params = LayerParams(
@@ -513,7 +513,7 @@ class TestTrainLayer:
             raw = rng.normal(size=(600, 3))
             vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
             pool = SubPatchPool(np.ones(600), vectors)
-            alpha = estimate_alpha(pool, 0.1, seed=seed)
+            alpha = estimate_alpha(pool.normalized, 0.1, seed=seed)
             train = sample_training_pairs(pool, 4000, alpha, seed=seed + 1)
             held = sample_training_pairs(pool, 2000, alpha, seed=seed + 2)
             pick = rng.choice(600, size=num_filters, replace=False)
@@ -577,6 +577,30 @@ class TestSampleTrainingPairs:
         with pytest.raises(DegeneratePoolError):
             sample_training_pairs(pool, 10, 1.0, seed=0)
 
+    def test_tight_pool_trains_with_zero_targets(self):
+        # Two tight clusters of unit 2-D directions half a turn apart give a
+        # tiny alpha, and exp(-d2 / (2 alpha^2)) underflows to exactly 0 for
+        # pairs across the clusters. Such pairs are valid training targets.
+        rng = np.random.default_rng(17)
+        angles = np.where(rng.random(5000) < 0.5, 0.0, np.pi)
+        angles += 0.01 * rng.normal(size=5000)
+        vectors = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        pool = SubPatchPool(np.ones(5000), vectors)
+        alpha = estimate_alpha(pool.normalized, 0.1, seed=1)
+        assert alpha < 0.01
+        batch = sample_training_pairs(pool, 4000, alpha, seed=2)
+        assert (batch.targets == 0.0).any()
+        assert (batch.targets > 0.0).any()
+        config = LayerConfig("gradient", 1, 2, 4, num_training_pairs=4000)
+        init = LayerParams(
+            vectors[:4], np.full(4, 0.25), alpha=alpha, beta=compute_beta(2)
+        )
+        trained, fit = train_layer(batch, config, init)
+        assert np.isfinite(trained.filters).all()
+        assert objective_and_gradient(trained, batch)[0] <= objective_and_gradient(
+            init, batch
+        )[0]
+
 
 class TestValidation:
     def test_layer_config_guards(self):
@@ -597,7 +621,7 @@ class TestValidation:
 
     def test_pair_batch_guards(self):
         with pytest.raises(InvalidArgumentError):
-            PairBatch(np.ones((3, 2)), np.ones((3, 2)), np.array([0.5, 0.0, 0.5]))
+            PairBatch(np.ones((3, 2)), np.ones((3, 2)), np.array([0.5, -1e-300, 0.5]))
         with pytest.raises(InvalidArgumentError):
             PairBatch(np.ones((3, 2)), np.ones((2, 2)), np.ones(3))
 

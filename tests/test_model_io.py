@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from cskn import model_io
 from cskn.errors import FormatError
 from cskn.kernel_layer import LayerConfig, LayerParams
 from cskn.model_io import (
@@ -212,3 +213,54 @@ class TestDescriptorRoundTrip:
         save_descriptors(path, entries, np.zeros((1, 3)))
         loaded_entries, _ = load_descriptors(path)
         assert loaded_entries == entries
+
+
+class TestAtomicWrites:
+    """An interrupted write leaves the earlier file and no temp file."""
+
+    @pytest.mark.parametrize("kind", ["model", "descriptors"])
+    def test_failed_write_keeps_the_earlier_file(
+        self, kind, two_layer_model, tmp_path, monkeypatch
+    ):
+        def save(path):
+            if kind == "model":
+                save_model(two_layer_model, path)
+            else:
+                save_descriptors(path, [("a.pgm", "x", "train")], np.ones((1, 5)))
+
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"earlier contents")
+        save(tmp_path / "reference.bin")
+        expected = (tmp_path / "reference.bin").read_bytes()
+        real_open = open
+        written = []
+
+        class HalfWriter:
+            """A file whose write stores half the bytes, then fails."""
+
+            def __init__(self, *args, **kwargs):
+                self.handle = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                written.append(len(data) // 2)
+                raise OSError("disk full")
+
+        monkeypatch.setattr(model_io, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save(path)
+        assert written == [len(expected) // 2]
+        assert path.read_bytes() == b"earlier contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "reference.bin"]
+
+        monkeypatch.undo()
+        save(path)
+        assert path.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "reference.bin"]

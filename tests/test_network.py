@@ -118,14 +118,6 @@ class TestModelBundle:
 
 
 class TestPyramidDescriptor:
-    def test_level_slice_blocks(self):
-        values = np.arange(2 * (1 + 4), dtype=np.float64)
-        desc = PyramidDescriptor(values, levels=(1, 2), channels=2)
-        np.testing.assert_array_equal(desc.level_slice(1), [0, 1])
-        np.testing.assert_array_equal(desc.level_slice(2), np.arange(2, 10))
-        with pytest.raises(InvalidArgumentError):
-            desc.level_slice(3)
-
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             PyramidDescriptor(np.ones(3), levels=(1,), channels=2)
@@ -316,3 +308,19 @@ class TestTrainNetwork:
         ]
         with pytest.raises(InvalidArgumentError):
             train_network([FeatureMap(np.ones((8, 8)))], grad_second, PretrainConfig())
+
+    def test_pyramid_levels_are_checked_before_training(self, monkeypatch):
+        import cskn.network as network
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(network, "estimate_alpha", no_training)
+        config = LayerConfig("patch", 2, 2, 4, seed=0)
+        with pytest.raises(InvalidArgumentError, match="pyramid levels"):
+            train_network(
+                [FeatureMap(np.ones((8, 8)))],
+                [config],
+                PretrainConfig(),
+                pyramid_levels=(2, 1),
+            )
