@@ -10,13 +10,19 @@ required ``[layerN]`` sections; unknown keys are hard errors.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .epls import PretrainConfig
 from .errors import ConfigError, DataError, InvalidArgumentError
 from .kernel_layer import LayerConfig
-from .network import DEFAULT_PYRAMID_LEVELS, check_layer_input, check_pyramid_levels
+from .network import (
+    DEFAULT_PYRAMID_LEVELS,
+    check_input_size,
+    check_layer_input,
+    check_pyramid_levels,
+)
 
 SPLITS = ("train", "test")
 COLOR_MODES = ("gray", "rgb")
@@ -81,61 +87,62 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration: global knobs plus per-layer configs."""
+    """Run configuration: global knobs plus per-layer configs."""
 
-    input_size: int
-    seed: int
-    pyramid_levels: tuple[int, ...]
-    color: str
-    pretrain: PretrainConfig
-    layers: tuple[LayerConfig, ...]
+    input_size: int = 200
+    seed: int = 0
+    pyramid_levels: tuple[int, ...] = DEFAULT_PYRAMID_LEVELS
+    color: str = "gray"
+    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
+    layers: tuple[LayerConfig, ...] = ()
+
+    def __post_init__(self) -> None:
+        check_input_size(self.input_size)
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be nonnegative")
+        if self.color not in COLOR_MODES:
+            raise InvalidArgumentError(f"color must be one of {COLOR_MODES}, got {self.color!r}")
+        check_pyramid_levels(self.pyramid_levels)
+        for index, layer in enumerate(self.layers):
+            check_layer_input(index, layer)
+        if self.layers and self.layers[0].input_kind == "gradient" and not self.grayscale:
+            raise InvalidArgumentError("a gradient first layer needs color = gray")
 
     @property
     def grayscale(self) -> bool:
         return self.color == "gray"
 
 
-_TOP_KEYS = ("input_size", "seed", "pyramid_levels", "color")
-_PRETRAIN_KEYS = (
-    "batch_size",
-    "patches_per_epoch",
-    "epochs",
-    "base_step",
-    "smoothing",
-    "seed",
-)
-_LAYER_KEYS = (
-    "input",
-    "sub_patch_size",
-    "subsampling_factor",
-    "num_filters",
-    "alpha_quantile",
-    "num_training_pairs",
-    "seed",
-)
-_LAYER_REQUIRED = ("input", "sub_patch_size", "subsampling_factor", "num_filters")
+# How a value is read for each field annotation, and what it must look like.
+_READERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "a string"),
+    tuple[int, ...]: (lambda text: tuple(int(part) for part in text.split(",")), "integers"),
+}
+# Config keys spelled differently from the field they set.
+_SPELLING = {"input_kind": "input"}
+_TOP = "top level"
 
 
-def _parse_int(source: str, lineno: int, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{source}:{lineno}: {key} expects an integer, got {value!r}")
-
-
-def _parse_float(source: str, lineno: int, key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{source}:{lineno}: {key} expects a number, got {value!r}")
+def _keys(cls: type) -> dict[str, tuple[str, object]]:
+    """Config key -> (field name, annotation) for every field a file can set."""
+    return {
+        _SPELLING.get(name, name): (name, hint)
+        for name, hint in get_type_hints(cls).items()
+        if hint in _READERS
+    }
 
 
 def parse_run_config(path: str | os.PathLike) -> RunConfig:
     """Parse and validate a run-configuration file.
 
-    Layer sections must be numbered [layer1], [layer2], ... without gaps;
-    gradient input is only legal in [layer1]. Unknown sections or keys are
-    rejected outright.
+    The top level sets RunConfig's fields, [pretrain] PretrainConfig's and
+    each [layerN] LayerConfig's (``input`` sets ``input_kind``), with the
+    types' defaults, except that [pretrain]'s seed defaults to the top-level
+    seed and [layerN]'s to seed + N. Layers are numbered 1, 2, ... without
+    gaps. A value that does not parse, or that RunConfig rejects, is
+    reported at its own line; one a section's type rejects, at the header's.
     """
     source = Path(path)
     try:
@@ -143,13 +150,9 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"{source}: cannot read config: {exc}") from exc
 
-    top: dict[str, str] = {}
-    pretrain: dict[str, str] = {}
-    layer_sections: dict[int, dict[str, str]] = {}
-    layer_lines: dict[int, int] = {}
-    top_lines: dict[str, int] = {}
-    section: str | None = None
-    current: dict[str, str] = top
+    values: dict[str, dict[str, object]] = {_TOP: {}}
+    headers: dict[str, int] = {}
+    where, keys, run = _TOP, _keys(RunConfig), RunConfig()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -157,131 +160,55 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name == "pretrain":
-                section, current = name, pretrain
+                keys = _keys(PretrainConfig)
             elif name.startswith("layer") and name[5:].isdigit():
-                number = int(name[5:])
-                if number < 1:
-                    raise ConfigError(f"{source}:{lineno}: layer numbers start at 1")
-                if number in layer_sections:
-                    raise ConfigError(f"{source}:{lineno}: duplicate section [{name}]")
-                layer_sections[number] = {}
-                layer_lines[number] = lineno
-                section, current = name, layer_sections[number]
+                name, keys = f"layer{int(name[5:])}", _keys(LayerConfig)
             else:
                 raise ConfigError(f"{source}:{lineno}: unknown section [{name}]")
+            where = f"[{name}]"
+            if where in values:
+                raise ConfigError(f"{source}:{lineno}: duplicate section {where}")
+            values[where], headers[where] = {}, lineno
             continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if not key or not value:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {line!r}")
-        allowed = (
-            _TOP_KEYS
-            if section is None
-            else _PRETRAIN_KEYS
-            if section == "pretrain"
-            else _LAYER_KEYS
-        )
-        where = "top level" if section is None else f"[{section}]"
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in {where}")
-        if key in current:
+        name, hint = keys[key]
+        if name in values[where]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in {where}")
-        current[key] = value
-        if section is None:
-            top_lines[key] = lineno
-
-    lineno = 0
-    input_size = _parse_int(source, lineno, "input_size", top.get("input_size", "200"))
-    seed = _parse_int(source, lineno, "seed", top.get("seed", "0"))
-    color = top.get("color", "gray")
-    if color not in COLOR_MODES:
-        raise ConfigError(f"{source}: color must be one of {COLOR_MODES}, got {color!r}")
-    levels_text = top.get("pyramid_levels")
-    if levels_text is None:
-        levels = DEFAULT_PYRAMID_LEVELS
-    else:
-        where = f"{source}:{top_lines['pyramid_levels']}"
+        read, expected = _READERS[hint]
         try:
-            levels = tuple(int(part.strip()) for part in levels_text.split(","))
+            values[where][name] = read(value)
         except ValueError:
-            raise ConfigError(f"{where}: pyramid_levels expects integers, got {levels_text!r}")
-        try:
-            levels = check_pyramid_levels(levels)
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"{where}: pyramid_levels: {exc}") from exc
-    if input_size < 2:
-        raise ConfigError(f"{source}: input_size must be >= 2")
-    if seed < 0:
-        raise ConfigError(f"{source}: seed must be nonnegative")
+            raise ConfigError(f"{source}:{lineno}: {key} expects {expected}, got {value!r}")
+        if where == _TOP:
+            # The top level has no header line, so each value is checked at its own.
+            try:
+                run = replace(run, **{name: values[where][name]})
+            except InvalidArgumentError as exc:
+                raise ConfigError(f"{source}:{lineno}: invalid {key}: {exc}") from exc
 
-    try:
-        pretrain_config = PretrainConfig(
-            batch_size=_parse_int(source, 0, "batch_size", pretrain.get("batch_size", "1000")),
-            patches_per_epoch=_parse_int(
-                source, 0, "patches_per_epoch", pretrain.get("patches_per_epoch", "100000")
-            ),
-            epochs=_parse_int(source, 0, "epochs", pretrain.get("epochs", "5")),
-            base_step=_parse_float(source, 0, "base_step", pretrain.get("base_step", "0.01")),
-            smoothing=_parse_float(source, 0, "smoothing", pretrain.get("smoothing", "0.99")),
-            seed=_parse_int(source, 0, "seed", pretrain.get("seed", str(seed))),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: invalid [pretrain] value: {exc}") from exc
-
-    if not layer_sections:
+    numbers = sorted(int(where[6:-1]) for where in values if where.startswith("[layer"))
+    if not numbers:
         raise ConfigError(f"{source}: at least one [layerN] section is required")
-    numbers = sorted(layer_sections)
     if numbers != list(range(1, len(numbers) + 1)):
         raise ConfigError(
             f"{source}: layer sections must be numbered 1..{len(numbers)} without gaps"
         )
-    layers: list[LayerConfig] = []
-    for number in numbers:
-        keys = layer_sections[number]
-        lineno = layer_lines[number]
-        for required in _LAYER_REQUIRED:
-            if required not in keys:
-                raise ConfigError(
-                    f"{source}:{lineno}: [layer{number}] is missing {required!r}"
-                )
-        try:
-            layers.append(
-                LayerConfig(
-                    input_kind=keys["input"],
-                    sub_patch_size=_parse_int(
-                        source, lineno, "sub_patch_size", keys["sub_patch_size"]
-                    ),
-                    subsampling_factor=_parse_int(
-                        source, lineno, "subsampling_factor", keys["subsampling_factor"]
-                    ),
-                    num_filters=_parse_int(
-                        source, lineno, "num_filters", keys["num_filters"]
-                    ),
-                    alpha_quantile=_parse_float(
-                        source, lineno, "alpha_quantile", keys.get("alpha_quantile", "0.1")
-                    ),
-                    num_training_pairs=_parse_int(
-                        source,
-                        lineno,
-                        "num_training_pairs",
-                        keys.get("num_training_pairs", "400000"),
-                    ),
-                    seed=_parse_int(
-                        source, lineno, "seed", keys.get("seed", str(seed + number))
-                    ),
-                )
-            )
-            check_layer_input(number - 1, layers[-1])
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: invalid [layer{number}]: {exc}") from exc
-    return RunConfig(
-        input_size=input_size,
-        seed=seed,
-        pyramid_levels=levels,
-        color=color,
-        pretrain=pretrain_config,
-        layers=tuple(layers),
-    )
+
+    where = "[pretrain]"
+    try:
+        run = replace(run, pretrain=PretrainConfig(**{"seed": run.seed, **values.get(where, {})}))
+        for number in numbers:
+            where = f"[layer{number}]"
+            for required in fields(LayerConfig):
+                if required.default is MISSING and required.name not in values[where]:
+                    key = _SPELLING.get(required.name, required.name)
+                    raise ConfigError(f"{source}:{headers[where]}: {where} is missing {key!r}")
+            layer = LayerConfig(**{"seed": run.seed + number, **values[where]})
+            run = replace(run, layers=(*run.layers, layer))
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"{source}:{headers[where]}: invalid {where}: {exc}") from exc
+    return run

@@ -57,11 +57,12 @@ class _ByteCursor:
         return int(tok)
 
 
-def decode_netpbm(data: bytes, source: str = "<bytes>") -> np.ndarray:
+def decode_netpbm(data: bytes, source: str = "<bytes>") -> tuple[np.ndarray, int]:
     """Decode a binary PGM (P5) or PPM (P6) byte stream to uint8 planes.
 
-    Returns (height, width) for grayscale or (height, width, 3) for color.
-    Only 8-bit rasters (maxval <= 255) are supported.
+    Returns the planes, (height, width) for grayscale or (height, width, 3)
+    for color, and the header's maxval. Only 8-bit rasters (maxval <= 255)
+    are supported.
     """
     cursor = _ByteCursor(data, source)
     magic = cursor.token("magic number")
@@ -92,17 +93,8 @@ def decode_netpbm(data: bytes, source: str = "<bytes>") -> np.ndarray:
         cursor.pos += expected
         raise cursor.fail(f"{len(raster) - expected} trailing raster bytes")
     pixels = np.frombuffer(raster, dtype=np.uint8, count=expected)
-    if channels == 1:
-        return pixels.reshape(height, width).copy()
-    return pixels.reshape(height, width, 3).copy()
-
-
-def _netpbm_maxval(data: bytes, source: str) -> int:
-    cursor = _ByteCursor(data, source)
-    cursor.token("magic number")
-    cursor.integer("width")
-    cursor.integer("height")
-    return cursor.integer("maxval")
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    return pixels.reshape(shape).copy(), maxval
 
 
 def bilinear_resize(array: np.ndarray, out_height: int, out_width: int) -> np.ndarray:
@@ -164,8 +156,7 @@ def load_image(
         data = path.read_bytes()
     except OSError as exc:
         raise DecodeError(f"{path}: cannot read image: {exc}") from exc
-    planes = decode_netpbm(data, source=str(path))
-    maxval = _netpbm_maxval(data, source=str(path))
+    planes, maxval = decode_netpbm(data, source=str(path))
     scaled = planes.astype(np.float64) / float(maxval)
     if grayscale:
         if scaled.ndim == 3:

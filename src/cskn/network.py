@@ -60,6 +60,13 @@ def check_pyramid_levels(levels: Sequence[int]) -> tuple[int, ...]:
     return levels
 
 
+def check_input_size(size: int) -> int:
+    """The input rule: images are resized to a square of side at least 2."""
+    if size < 2:
+        raise InvalidArgumentError("input_size must be >= 2")
+    return int(size)
+
+
 def check_layer_input(index: int, config: LayerConfig) -> None:
     """The stacking rule: only the first layer (index 0) reads gradients."""
     if config.input_kind == "gradient" and index > 0:
@@ -103,8 +110,8 @@ class ModelBundle:
     """Everything needed to turn an image into a pyramid descriptor."""
 
     layers: tuple[TrainedLayer, ...]
+    input_size: int
     pyramid_levels: tuple[int, ...] = DEFAULT_PYRAMID_LEVELS
-    input_size: int = 200
     provenance: Mapping[str, int | float | str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -112,8 +119,7 @@ class ModelBundle:
         levels = check_pyramid_levels(self.pyramid_levels)
         if not layers:
             raise InvalidArgumentError("a model needs at least one layer")
-        if self.input_size < 2:
-            raise InvalidArgumentError("input_size must be >= 2")
+        size = check_input_size(self.input_size)
         for index, layer in enumerate(layers):
             check_layer_input(index, layer.config)
             if index > 0:
@@ -128,7 +134,7 @@ class ModelBundle:
                     )
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "pyramid_levels", levels)
-        object.__setattr__(self, "input_size", int(self.input_size))
+        object.__setattr__(self, "input_size", size)
         object.__setattr__(self, "provenance", dict(self.provenance))
 
     @property
@@ -287,12 +293,7 @@ def train_network(
         "lbfgs_pgtol": LBFGS_PGTOL,
         "weight_floor": WEIGHT_FLOOR,
         "alpha_pair_cap": ALPHA_PAIR_SAMPLE_CAP,
-        "pretrain_batch_size": pcfg.batch_size,
-        "pretrain_patches_per_epoch": pcfg.patches_per_epoch,
-        "pretrain_epochs": pcfg.epochs,
-        "pretrain_base_step": pcfg.base_step,
-        "pretrain_smoothing": pcfg.smoothing,
-        "pretrain_seed": pcfg.seed,
+        **{f"pretrain_{key}": value for key, value in asdict(pcfg).items()},
     }
     maps = images
     layers: list[TrainedLayer] = []

@@ -5,13 +5,10 @@ locations that the embedding approximates; the finite-difference helper
 checks analytic gradients; the reference pooling loop checks the sparse
 pooling operator; the reference pair objective checks the x+y form of the
 pair-fit; the reference epoch step checks the incremental sparse-target
-bookkeeping; the error report summarizes how far an approximation sits from
-its reference.
+bookkeeping.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,36 +225,3 @@ def reference_epls_epoch_step(
         counts[winner] += 1
     return SparseTarget(matrix), InhibitorState(counts, total)
 
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Elementwise error summary between an approximation and its reference."""
-
-    max_abs_error: float
-    mean_abs_error: float
-    rel_frobenius_error: float
-
-    def __post_init__(self) -> None:
-        for name in ("max_abs_error", "mean_abs_error", "rel_frobenius_error"):
-            if getattr(self, name) < 0:
-                raise InvalidArgumentError(f"{name} must be nonnegative")
-
-
-def embedding_error_report(exact, approx) -> ErrorReport:
-    """Compare approximate values against exact references elementwise."""
-    exact = np.asarray(exact, dtype=np.float64)
-    approx = np.asarray(approx, dtype=np.float64)
-    if exact.shape != approx.shape or exact.size == 0:
-        raise InvalidArgumentError("exact/approx must be matching nonempty arrays")
-    diff = np.abs(approx - exact)
-    ref_norm = float(np.linalg.norm(exact))
-    diff_norm = float(np.linalg.norm(diff))
-    if ref_norm > 0:
-        relative = diff_norm / ref_norm
-    else:
-        relative = 0.0 if diff_norm == 0 else float("inf")
-    return ErrorReport(
-        max_abs_error=float(diff.max()),
-        mean_abs_error=float(diff.mean()),
-        rel_frobenius_error=relative,
-    )

@@ -306,6 +306,28 @@ class TestExitCodes:
         )
         assert status == 1
 
+    def test_gradient_layer_with_rgb_fails_before_reading_images(self, tmp_path, capsys):
+        config = tmp_path / "rgb.cfg"
+        text = TINY_CONFIG.replace("seed = 3\n", "seed = 3\ncolor = rgb\n")
+        config.write_text(text, encoding="utf-8")
+        # The image does not exist, so reading it would be a data error (2).
+        manifest = tmp_path / "data.tsv"
+        manifest.write_text("absent.pgm\tx\ttrain\n", encoding="utf-8")
+        model = tmp_path / "m.cskn"
+        status = run_command(
+            [
+                "train",
+                "--config", str(config),
+                "--manifest", str(manifest),
+                "--out", str(model),
+            ]
+        )
+        assert status == 1
+        assert not model.exists()
+        assert "rgb.cfg:11: invalid [layer1]: a gradient first layer needs color = gray" in (
+            capsys.readouterr().err
+        )
+
     def test_missing_required_flag(self):
         assert run_command(["train"]) == 1
 

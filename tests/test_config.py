@@ -1,9 +1,15 @@
 """Manifest and run-configuration parsing."""
 
+from pathlib import Path
+
 import pytest
 
-from cskn.config import load_manifest, parse_run_config
-from cskn.errors import ConfigError, DataError
+from cskn.config import RunConfig, load_manifest, parse_run_config
+from cskn.epls import PretrainConfig
+from cskn.errors import ConfigError, DataError, InvalidArgumentError
+from cskn.kernel_layer import LayerConfig
+
+from conftest import TEXTURE_CONFIG
 
 
 def write(path, text):
@@ -250,3 +256,70 @@ class TestParseRunConfig:
     def test_line_without_equals(self, tmp_path):
         with pytest.raises(ConfigError, match=":1: expected key = value"):
             parse_run_config(write(tmp_path / "run.cfg", "standalone\n" + MINIMAL))
+
+
+class TestRunConfigRules:
+    def test_readme_example_is_the_demo_architecture(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        config = parse_run_config(write(tmp_path / "readme.cfg", block))
+        assert config == parse_run_config(write(tmp_path / "demo.cfg", TEXTURE_CONFIG))
+
+    def test_unparsable_values_name_their_own_line(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"run\.cfg:1: input_size expects an integer"):
+            parse_run_config(write(tmp_path / "run.cfg", "input_size = large\n" + MINIMAL))
+        text = "[pretrain]\nepochs = x\n" + MINIMAL
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: epochs expects an integer"):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+        text = "pyramid_levels = 1, two\n" + MINIMAL
+        with pytest.raises(ConfigError, match=r"run\.cfg:1: pyramid_levels expects integers"):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+
+    def test_rejected_values_name_their_section_header(self, tmp_path):
+        # The top level has no header, so its values name their own line.
+        text = "seed = 1\npyramid_levels = 3, 2\n" + MINIMAL
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: invalid pyramid_levels: pyramid"):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+        text = "seed = 1\n[pretrain]\nbatch_size = 10\nepochs = 0\n" + MINIMAL
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: invalid \[pretrain\]: epochs"):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+        # MINIMAL opens with a blank line, so [layer1] is line 3.
+        text = "seed = 1\n" + MINIMAL.replace("num_filters = 16", "num_filters = 0")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: invalid \[layer1\]: num_filters"):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+
+    def test_gradient_first_layer_needs_gray(self, tmp_path):
+        text = "color = rgb\n" + MINIMAL
+        with pytest.raises(
+            ConfigError,
+            match=r"run\.cfg:3: invalid \[layer1\]: a gradient first layer needs color = gray",
+        ):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+
+    def test_layer_keys_are_layer_config_fields(self, tmp_path):
+        # The field input_kind is spelled input; its own name is not a key.
+        text = MINIMAL.replace("input = gradient", "input_kind = gradient")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: unknown key 'input_kind'"):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+
+    def test_defaults_are_the_dataclass_defaults(self, tmp_path):
+        config = parse_run_config(write(tmp_path / "run.cfg", "seed = 9\n" + MINIMAL))
+        layer = LayerConfig("gradient", 1, 4, 16, seed=10)
+        assert config == RunConfig(seed=9, pretrain=PretrainConfig(seed=9), layers=(layer,))
+
+    def test_directly_built_config_is_validated(self):
+        gradient = LayerConfig("gradient", 1, 4, 16)
+        patch = LayerConfig("patch", 2, 2, 8)
+        with pytest.raises(InvalidArgumentError, match="input_size must be >= 2"):
+            RunConfig(input_size=1, layers=(gradient,))
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            RunConfig(seed=-1)
+        with pytest.raises(InvalidArgumentError, match="color"):
+            RunConfig(color="bgr")
+        with pytest.raises(InvalidArgumentError, match="pyramid levels"):
+            RunConfig(pyramid_levels=(2, 1))
+        with pytest.raises(InvalidArgumentError, match=r"only allowed in \[layer1\]"):
+            RunConfig(layers=(patch, gradient))
+        with pytest.raises(InvalidArgumentError, match="needs color = gray"):
+            RunConfig(color="rgb", layers=(gradient,))
+        assert RunConfig(color="rgb", layers=(patch,)).pretrain == PretrainConfig()

@@ -26,21 +26,22 @@ def pgm_bytes(width, height, raster, maxval=255, comment=None):
 class TestDecodeNetpbm:
     def test_grayscale_round_values(self):
         data = pgm_bytes(3, 2, [0, 10, 20, 30, 40, 50])
-        planes = decode_netpbm(data)
+        planes, maxval = decode_netpbm(data)
+        assert maxval == 255
         assert planes.shape == (2, 3)
         np.testing.assert_array_equal(planes, [[0, 10, 20], [30, 40, 50]])
 
     def test_color_pixel_layout(self):
         raster = bytes([255, 0, 0, 0, 255, 0])
         data = b"P6\n2 1\n255\n" + raster
-        planes = decode_netpbm(data)
+        planes, _ = decode_netpbm(data)
         assert planes.shape == (1, 2, 3)
         np.testing.assert_array_equal(planes[0, 0], [255, 0, 0])
         np.testing.assert_array_equal(planes[0, 1], [0, 255, 0])
 
     def test_header_comments_are_skipped(self):
         data = pgm_bytes(2, 1, [7, 9], comment="created by hand")
-        np.testing.assert_array_equal(decode_netpbm(data), [[7, 9]])
+        np.testing.assert_array_equal(decode_netpbm(data)[0], [[7, 9]])
 
     def test_bad_magic_reports_offset_zero(self):
         with pytest.raises(DecodeError, match="magic.*offset 0"):
@@ -78,7 +79,7 @@ class TestDecodeNetpbm:
         # Raster bytes that happen to equal ASCII whitespace must pass
         # through untouched.
         data = pgm_bytes(2, 1, [0x20, 0x0A])
-        np.testing.assert_array_equal(decode_netpbm(data), [[32, 10]])
+        np.testing.assert_array_equal(decode_netpbm(data)[0], [[32, 10]])
 
 
 class TestBilinearResize:
@@ -188,7 +189,7 @@ class TestWriters:
         values = rng.integers(0, 256, size=(6, 4)) / 255.0
         path = tmp_path / "out.pgm"
         write_pgm(path, values)
-        decoded = decode_netpbm(path.read_bytes(), source=str(path))
+        decoded, _ = decode_netpbm(path.read_bytes(), source=str(path))
         np.testing.assert_array_equal(decoded, np.rint(values * 255).astype(np.uint8))
 
     def test_ppm_round_trip(self, tmp_path):
@@ -196,13 +197,13 @@ class TestWriters:
         values = rng.integers(0, 256, size=(3, 5, 3)) / 255.0
         path = tmp_path / "out.ppm"
         write_ppm(path, values)
-        decoded = decode_netpbm(path.read_bytes(), source=str(path))
+        decoded, _ = decode_netpbm(path.read_bytes(), source=str(path))
         np.testing.assert_array_equal(decoded, np.rint(values * 255).astype(np.uint8))
 
     def test_values_are_clipped(self, tmp_path):
         path = tmp_path / "clip.pgm"
         write_pgm(path, np.array([[-0.5, 1.5]]))
-        decoded = decode_netpbm(path.read_bytes())
+        decoded, _ = decode_netpbm(path.read_bytes())
         np.testing.assert_array_equal(decoded, [[0, 255]])
 
     def test_shape_guards(self, tmp_path):

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cskn.errors import InvalidArgumentError, NumericFailureError
 from cskn.featmap import FeatureMap
-from cskn.oracle import (
-    ErrorReport,
-    embedding_error_report,
-    exact_match_kernel,
-    finite_diff_gradient,
-)
+from cskn.oracle import exact_match_kernel, finite_diff_gradient
 
 
 def brute_force_kernel(map_a, map_b, patch_size, alpha, beta):
@@ -171,30 +166,3 @@ class TestFiniteDiffGradient:
         with pytest.raises(InvalidArgumentError):
             finite_diff_gradient(lambda x: 0.0, np.zeros(2), step=0.0)
 
-
-class TestErrorReport:
-    def test_summary_values(self):
-        report = embedding_error_report(
-            np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.5, 2.0])
-        )
-        assert report.max_abs_error == 1.0
-        assert report.mean_abs_error == pytest.approx(0.5)
-        expected_rel = np.sqrt(0.25 + 1.0) / np.sqrt(14.0)
-        assert report.rel_frobenius_error == pytest.approx(expected_rel)
-
-    def test_zero_reference_edge_cases(self):
-        exact = np.zeros(3)
-        assert embedding_error_report(exact, np.zeros(3)).rel_frobenius_error == 0.0
-        assert embedding_error_report(
-            exact, np.ones(3)
-        ).rel_frobenius_error == float("inf")
-
-    def test_shape_guards(self):
-        with pytest.raises(InvalidArgumentError):
-            embedding_error_report(np.zeros(2), np.zeros(3))
-        with pytest.raises(InvalidArgumentError):
-            embedding_error_report(np.zeros(0), np.zeros(0))
-
-    def test_negative_fields_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            ErrorReport(-0.1, 0.0, 0.0)
