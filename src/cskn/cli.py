@@ -23,7 +23,7 @@ from .errors import (
     NumericFailureError,
     UsageError,
 )
-from .evalkit import precision_at_q, predict, rank_by_euclidean, roc_auc, top1_accuracy, train_svm
+from .evalkit import predict, retrieval_precision, roc_auc, top1_accuracy, train_svm
 from .images import load_image
 from .model_io import load_model, save_descriptors, save_model
 from .network import ModelBundle, forward_network, train_network
@@ -130,28 +130,17 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     q_values = _parse_q_list(args.q)
     gallery = _descriptor_matrix(model, manifest, gallery_entries)
     queries = _descriptor_matrix(model, manifest, query_entries)
-    rows: list[tuple[str, str]] = [
+    gallery_paths = np.array([entry.path for entry in gallery_entries])
+    gallery_labels = np.array([entry.label for entry in gallery_entries])
+    # A train-split query is in the gallery; its own row would rank first
+    # at distance 0, so it is left out of its ranking.
+    exclude = np.array([entry.path for entry in query_entries])[:, None] == gallery_paths
+    relevant = np.array([entry.label for entry in query_entries])[:, None] == gallery_labels
+    precisions = retrieval_precision(queries, gallery, relevant, exclude, q_values)
+    rows = [
         ("num_gallery", str(len(gallery_entries))),
         ("num_queries", str(len(query_entries))),
-    ]
-    precisions: dict[int, list[float]] = {q: [] for q in q_values}
-    gallery_ids = [entry.path for entry in gallery_entries]
-    for entry, vector in zip(query_entries, queries):
-        # A train-split query is in the gallery; its own row would rank
-        # first at distance 0, so it is left out of its ranking.
-        keep = [i for i, path in enumerate(gallery_ids) if path != entry.path]
-        run = rank_by_euclidean(
-            vector,
-            gallery if len(keep) == len(gallery_ids) else gallery[keep],
-            query_id=entry.path,
-            gallery_ids=[gallery_ids[i] for i in keep],
-            relevant=[gallery_entries[i].label == entry.label for i in keep],
-        )
-        for q in q_values:
-            # Small galleries clamp the cutoff so every requested Q reports.
-            precisions[q].append(precision_at_q(run, min(q, len(run))))
-    for q in q_values:
-        rows.append((f"precision@{q}", _format_float(float(np.mean(precisions[q])))))
+    ] + [(f"precision@{q}", _format_float(p)) for q, p in zip(q_values, precisions)]
     _write_report(Path(args.report), rows, args.json)
     for key, value in rows:
         print(f"{key}\t{value}")

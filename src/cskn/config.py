@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 from .epls import PretrainConfig
 from .errors import ConfigError, DataError, InvalidArgumentError
-from .kernel_layer import LayerConfig
+from .kernel_layer import LayerConfig, check_seed
 from .network import (
     DEFAULT_PYRAMID_LEVELS,
     check_input_size,
@@ -98,8 +98,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_input_size(self.input_size)
-        if self.seed < 0:
-            raise InvalidArgumentError("seed must be nonnegative")
+        check_seed(self.seed)
         if self.color not in COLOR_MODES:
             raise InvalidArgumentError(f"color must be one of {COLOR_MODES}, got {self.color!r}")
         check_pyramid_levels(self.pyramid_levels)

@@ -27,6 +27,7 @@ from .kernel_layer import (
     LayerConfig,
     LayerParams,
     _sq_dists,
+    check_seed,
     compute_beta,
 )
 
@@ -104,12 +105,11 @@ class PretrainConfig:
             raise InvalidArgumentError("patches_per_epoch must be >= 1")
         if self.epochs < 1:
             raise InvalidArgumentError("epochs must be >= 1")
-        if not self.base_step > 0:
-            raise InvalidArgumentError("base_step must be positive")
+        if not (math.isfinite(self.base_step) and self.base_step > 0):
+            raise InvalidArgumentError("base_step must be positive and finite")
         if not 0.0 <= self.smoothing < 1.0:
             raise InvalidArgumentError("smoothing must lie in [0, 1)")
-        if self.seed < 0:
-            raise InvalidArgumentError("seed must be nonnegative")
+        check_seed(self.seed)
 
 
 def _minmax_normalize(outputs: np.ndarray) -> tuple[np.ndarray, float]:

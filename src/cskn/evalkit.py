@@ -2,9 +2,10 @@
 
 The classifier is one-vs-rest ridge-regularized squared-hinge regression
 fit with limited-memory quasi-Newton steps on standardized features.
-Retrieval ranks a gallery by Euclidean distance. Metrics are exact
-small-sample formulas: precision at a cutoff, top-1 accuracy, and the
-rank-statistic area under the ROC curve.
+Retrieval ranks a gallery by Euclidean distance, all queries against
+one distance matrix. Metrics are exact small-sample formulas: precision
+at a cutoff, top-1 accuracy, and the rank-statistic area under the ROC
+curve.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 from scipy import optimize
+from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from .errors import InvalidArgumentError, UndefinedMetricError
-from .network import PyramidDescriptor
 
 SVM_LBFGS_MEMORY = 10
 SVM_LBFGS_TOL = 1e-5
@@ -25,14 +26,11 @@ SVM_LBFGS_MAX_ITER = 500
 _STD_FLOOR = 1e-12
 
 
-def _as_matrix(features) -> np.ndarray:
-    if isinstance(features, np.ndarray) and features.ndim == 2:
-        return np.asarray(features, dtype=np.float64)
-    rows = [
-        f.values if isinstance(f, PyramidDescriptor) else np.asarray(f, dtype=np.float64)
-        for f in features
-    ]
-    return np.stack(rows).astype(np.float64)
+def _matrix(features) -> np.ndarray:
+    matrix = np.asarray(features, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise InvalidArgumentError(f"expected a 2-D feature matrix, got {matrix.ndim}-D")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class ClassifierParams:
         object.__setattr__(self, "feature_std", std)
 
     def standardize(self, features) -> np.ndarray:
-        matrix = _as_matrix(features)
+        matrix = _matrix(features)
         if matrix.shape[1] != self.feature_mean.shape[0]:
             raise InvalidArgumentError(
                 f"classifier expects {self.feature_mean.shape[0]} features, "
@@ -101,7 +99,7 @@ def train_svm(
     ``regularization * ||w||^2 + mean(max(0, 1 - y * (w.x + b))^2)``,
     minimized by L-BFGS from zero.
     """
-    matrix = _as_matrix(features)
+    matrix = _matrix(features)
     labels = [str(label) for label in labels]
     if matrix.shape[0] != len(labels):
         raise InvalidArgumentError("one label per feature row required")
@@ -154,90 +152,47 @@ def predict(features, params: ClassifierParams) -> tuple[list[str], np.ndarray]:
     return [params.classes[i] for i in winners], scores
 
 
-@dataclass(frozen=True)
-class RetrievalRun:
-    """One query's ranked gallery with optional relevance flags.
+def retrieval_precision(
+    queries: np.ndarray,
+    gallery: np.ndarray,
+    relevant: np.ndarray,
+    exclude: np.ndarray,
+    cutoffs: Sequence[int],
+) -> np.ndarray:
+    """Mean precision at each cutoff, every query ranked in one pass.
 
-    ``ranked_ids`` lists gallery identifiers by ascending distance,
-    distance ties broken by gallery order. ``relevance`` (if present)
-    aligns with the ranked order.
+    Row i of the (Q, G) masks flags the gallery items relevant to query i
+    and those left out of its ranking (say, its own gallery row). Each
+    query ranks its kept items by Euclidean distance, ties in gallery
+    order. A cutoff past a query's kept count is clamped to that count,
+    so every cutoff reports. Means are taken in query order.
     """
-
-    query_id: object
-    ranked_ids: tuple
-    distances: np.ndarray
-    relevance: tuple[bool, ...] | None = None
-
-    def __post_init__(self) -> None:
-        distances = np.asarray(self.distances, dtype=np.float64)
-        ranked = tuple(self.ranked_ids)
-        if distances.shape != (len(ranked),):
-            raise InvalidArgumentError("one distance per ranked item required")
-        if len(ranked) == 0:
-            raise InvalidArgumentError("a retrieval run needs a nonempty gallery")
-        if (np.diff(distances) < 0).any():
-            raise InvalidArgumentError("ranked distances must be nondecreasing")
-        relevance = self.relevance
-        if relevance is not None:
-            relevance = tuple(bool(r) for r in relevance)
-            if len(relevance) != len(ranked):
-                raise InvalidArgumentError("one relevance flag per ranked item")
-        object.__setattr__(self, "ranked_ids", ranked)
-        object.__setattr__(self, "distances", distances)
-        object.__setattr__(self, "relevance", relevance)
-
-    def __len__(self) -> int:
-        return len(self.ranked_ids)
-
-
-def rank_by_euclidean(
-    query,
-    gallery,
-    *,
-    query_id: object = 0,
-    gallery_ids: Sequence | None = None,
-    relevant: Sequence[bool] | None = None,
-) -> RetrievalRun:
-    """Rank gallery items by Euclidean distance to the query.
-
-    ``relevant`` flags are given in gallery order and are re-ordered to
-    match the ranking. Equal distances keep gallery order (stable sort).
-    """
-    query_vec = (
-        query.values if isinstance(query, PyramidDescriptor) else np.asarray(query)
-    ).astype(np.float64)
-    matrix = _as_matrix(gallery)
-    if matrix.shape[0] == 0:
-        raise InvalidArgumentError("gallery must be nonempty")
-    if query_vec.shape != (matrix.shape[1],):
+    queries = _matrix(queries)
+    gallery = _matrix(gallery)
+    relevant = np.asarray(relevant, dtype=bool)
+    exclude = np.asarray(exclude, dtype=bool)
+    shape = (queries.shape[0], gallery.shape[0])
+    if queries.shape[1] != gallery.shape[1]:
         raise InvalidArgumentError("query and gallery dimensions differ")
-    ids = list(gallery_ids) if gallery_ids is not None else list(range(matrix.shape[0]))
-    if len(ids) != matrix.shape[0]:
-        raise InvalidArgumentError("one id per gallery item required")
-    if relevant is not None and len(relevant) != matrix.shape[0]:
-        raise InvalidArgumentError("one relevance flag per gallery item required")
-    distances = np.linalg.norm(matrix - query_vec[np.newaxis, :], axis=1)
-    order = np.argsort(distances, kind="stable")
-    ranked_relevance = (
-        tuple(bool(relevant[i]) for i in order) if relevant is not None else None
-    )
-    return RetrievalRun(
-        query_id=query_id,
-        ranked_ids=tuple(ids[i] for i in order),
-        distances=distances[order],
-        relevance=ranked_relevance,
-    )
-
-
-def precision_at_q(run: RetrievalRun, q: int) -> float:
-    """Fraction of the top q ranked items that are relevant."""
-    if run.relevance is None:
-        raise InvalidArgumentError("retrieval run carries no relevance flags")
-    if not 1 <= q <= len(run):
-        raise InvalidArgumentError(
-            f"q must lie in [1, {len(run)}], got {q}"
-        )
-    return sum(run.relevance[:q]) / q
+    if relevant.shape != shape or exclude.shape != shape:
+        raise InvalidArgumentError(f"relevant and exclude masks must have shape {shape}")
+    if shape[0] == 0:
+        raise InvalidArgumentError("retrieval needs at least one query")
+    if any(q < 1 for q in cutoffs):
+        raise InvalidArgumentError(f"cutoffs must be positive, got {list(cutoffs)}")
+    kept = shape[1] - exclude.sum(axis=1)
+    if (kept == 0).any():
+        raise InvalidArgumentError("a query has no gallery item left to rank")
+    distances = cdist(queries, gallery)
+    distances[exclude] = np.inf
+    order = np.argsort(distances, axis=1, kind="stable")
+    hits = np.cumsum(np.take_along_axis(relevant, order, axis=1), axis=1)
+    rows = np.arange(shape[0])
+    means = []
+    for q in cutoffs:
+        depth = np.minimum(q, kept)
+        means.append(np.mean(hits[rows, depth - 1] / depth))
+    return np.array(means)
 
 
 def top1_accuracy(predicted: Sequence[str], actual: Sequence[str]) -> float:

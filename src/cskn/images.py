@@ -177,13 +177,3 @@ def write_pgm(path: str | os.PathLike, values: np.ndarray) -> None:
     quantized = np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{values.shape[1]} {values.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + quantized.tobytes())
-
-
-def write_ppm(path: str | os.PathLike, values: np.ndarray) -> None:
-    """Write a [0, 1] RGB array as an 8-bit binary PPM."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 3 or values.shape[2] != 3:
-        raise InvalidArgumentError("expected an RGB array")
-    quantized = np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
-    header = f"P6\n{values.shape[1]} {values.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + quantized.tobytes())

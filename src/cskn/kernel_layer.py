@@ -42,6 +42,12 @@ WEIGHT_FLOOR = 1e-8
 _OBJECTIVE_CHUNK = 65_536
 
 INPUT_KINDS = ("patch", "gradient")
+MAX_SEED = 2**63 - 1  # model files store seeds as signed 64-bit integers
+
+
+def check_seed(seed: int) -> None:
+    if not 0 <= seed <= MAX_SEED:
+        raise InvalidArgumentError(f"seed must lie in [0, 2**63 - 1], got {seed}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,7 @@ class LayerConfig:
             raise InvalidArgumentError("alpha_quantile must lie in (0, 1)")
         if self.num_training_pairs < 1:
             raise InvalidArgumentError("num_training_pairs must be >= 1")
-        if self.seed < 0:
-            raise InvalidArgumentError("seed must be nonnegative")
+        check_seed(self.seed)
 
 
 def _frozen_array(values, dtype=None) -> np.ndarray:

@@ -5,7 +5,7 @@ locations that the embedding approximates; the finite-difference helper
 checks analytic gradients; the reference pooling loop checks the sparse
 pooling operator; the reference pair objective checks the x+y form of the
 pair-fit; the reference epoch step checks the incremental sparse-target
-bookkeeping.
+bookkeeping; the per-query retrieval loop checks the one-matrix ranking.
 """
 
 from __future__ import annotations
@@ -225,3 +225,30 @@ def reference_epls_epoch_step(
         counts[winner] += 1
     return SparseTarget(matrix), InhibitorState(counts, total)
 
+
+def reference_retrieval_precision(
+    queries: np.ndarray,
+    gallery: np.ndarray,
+    relevant: np.ndarray,
+    exclude: np.ndarray,
+    cutoffs: list[int],
+) -> np.ndarray:
+    """Mean precision at each cutoff, ranking one query at a time.
+
+    Same contract as ``evalkit.retrieval_precision``: each query drops its
+    excluded gallery rows, stably sorts the rest by Euclidean distance, and
+    scores the top min(q, kept) items against its relevance flags.
+    """
+    gallery = np.asarray(gallery, dtype=np.float64)
+    precisions: list[list[float]] = [[] for _ in cutoffs]
+    for row, vector in enumerate(np.asarray(queries, dtype=np.float64)):
+        keep = [i for i in range(gallery.shape[0]) if not exclude[row][i]]
+        if not keep:
+            raise InvalidArgumentError("gallery must be nonempty")
+        distances = np.linalg.norm(gallery[keep] - vector[np.newaxis, :], axis=1)
+        order = np.argsort(distances, kind="stable")
+        ranked = tuple(bool(relevant[row][keep[k]]) for k in order)
+        for column, q in enumerate(cutoffs):
+            depth = min(q, len(ranked))
+            precisions[column].append(sum(ranked[:depth]) / depth)
+    return np.array([np.mean(column) for column in precisions])

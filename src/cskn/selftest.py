@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .epls import InhibitorState, PretrainConfig, epls_epoch_step, pretrain_layer
-from .evalkit import roc_auc
+from .evalkit import retrieval_precision, roc_auc
 from .featmap import FeatureMap, SubPatchPool, extract_subpatches
 from .kernel_layer import (
     LayerConfig,
@@ -27,6 +27,7 @@ from .oracle import (
     exact_match_kernel,
     finite_diff_gradient,
     reference_pair_objective,
+    reference_retrieval_precision,
     reference_spatial_pool,
 )
 
@@ -197,6 +198,28 @@ def _check_metrics(rng: np.random.Generator) -> str:
     return "AUC matches exhaustive enumeration"
 
 
+def _check_retrieval(rng: np.random.Generator) -> str:
+    """One-matrix retrieval against the per-query reference loop."""
+    labels = rng.integers(0, 3, size=30)
+    # Few distinct integer values: duplicate rows tie exactly.
+    tied = rng.integers(0, 2, size=(30, 3)).astype(np.float64)
+    own = rng.choice(30, size=8, replace=False)
+    keep_all = np.zeros((8, 30), dtype=bool)
+    cases = (
+        (rng.normal(size=(8, 5)), rng.normal(size=(30, 5)), rng.integers(0, 3, size=8), keep_all),
+        (rng.integers(0, 2, size=(8, 3)).astype(np.float64), tied, rng.integers(0, 3, size=8),
+         keep_all),
+        # Train-split queries are gallery rows that leave themselves out.
+        (tied[own], tied, labels[own], own[:, np.newaxis] == np.arange(30)),
+    )
+    for queries, gallery, query_labels, exclude in cases:
+        relevant = query_labels[:, np.newaxis] == labels
+        args = (queries, gallery, relevant, exclude, [1, 5, 10, 29, 30, 100])
+        if not np.array_equal(retrieval_precision(*args), reference_retrieval_precision(*args)):
+            raise AssertionError("retrieval precision disagrees with the reference loop")
+    return "one-matrix retrieval matches the per-query loop"
+
+
 def _check_persistence(rng: np.random.Generator) -> str:
     """Bitwise round trip of a small sealed model."""
     config = LayerConfig("patch", 2, 2, 3, seed=11)
@@ -251,6 +274,7 @@ CHECKS = (
     ("pooling", _check_pooling),
     ("pooling-operator", _check_pooling_operator),
     ("metrics", _check_metrics),
+    ("retrieval", _check_retrieval),
     ("persistence", _check_persistence),
     ("activation", _check_activation),
 )

@@ -15,12 +15,7 @@ import pytest
 
 from cskn.cli import run_command
 from cskn.epls import InhibitorState, epls_epoch_step
-from cskn.evalkit import (
-    RetrievalRun,
-    precision_at_q,
-    roc_auc,
-    top1_accuracy,
-)
+from cskn.evalkit import retrieval_precision, roc_auc, top1_accuracy
 from cskn.featmap import FeatureMap, SubPatchPool, extract_subpatches
 from cskn.kernel_layer import (
     LayerConfig,
@@ -263,16 +258,16 @@ class TestA5MetricOracles:
         started = perf_counter()
 
         precision_ok = True
+        # Gallery row k sits at distance k from the query, so the ranking
+        # is gallery order and the pattern reads off in rank order.
+        gallery = np.arange(5, dtype=np.float64)[:, np.newaxis]
         for pattern in itertools.product((False, True), repeat=5):
-            run = RetrievalRun(
-                0,
-                tuple(range(5)),
-                np.arange(5, dtype=np.float64),
-                relevance=pattern,
+            got = retrieval_precision(
+                np.zeros((1, 1)), gallery, [pattern], np.zeros((1, 5), bool), range(1, 6)
             )
             for q in range(1, 6):
                 manual = sum(1 for flag in pattern[:q] if flag) / q
-                precision_ok = precision_ok and precision_at_q(run, q) == manual
+                precision_ok = precision_ok and got[q - 1] == manual
 
         top1_ok = True
         for size in (1, 2, 3):

@@ -1,5 +1,6 @@
 """Manifest and run-configuration parsing."""
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,32 @@ class TestRunConfigRules:
         config = parse_run_config(write(tmp_path / "run.cfg", "seed = 9\n" + MINIMAL))
         layer = LayerConfig("gradient", 1, 4, 16, seed=10)
         assert config == RunConfig(seed=9, pretrain=PretrainConfig(seed=9), layers=(layer,))
+
+    def test_seeds_fit_in_64_bits(self, tmp_path):
+        # Model files store layer seeds as signed 64-bit integers, and
+        # [layerN] defaults to seed + N, so the top-level seed's overflow
+        # shows at [layer1]'s header.
+        text = "seed = 9223372036854775807\n" + MINIMAL
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: invalid \[layer1\]: seed"):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+        text = "seed = 9223372036854775808\n" + MINIMAL
+        with pytest.raises(ConfigError, match=r"run\.cfg:1: invalid seed"):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+        text = "seed = 9223372036854775806\n" + MINIMAL
+        assert parse_run_config(write(tmp_path / "run.cfg", text)).layers[0].seed == 2**63 - 1
+        layer = functools.partial(LayerConfig, "patch", 2, 2, 8)
+        for build in (RunConfig, PretrainConfig, layer):
+            build(seed=2**63 - 1)
+            with pytest.raises(InvalidArgumentError, match="seed"):
+                build(seed=2**63)
+
+    def test_base_step_must_be_finite(self, tmp_path):
+        text = "[pretrain]\nbase_step = inf\n" + MINIMAL
+        with pytest.raises(ConfigError, match=r"run\.cfg:1: invalid \[pretrain\]: base_step"):
+            parse_run_config(write(tmp_path / "run.cfg", text))
+        for value in (float("inf"), float("nan"), 0.0):
+            with pytest.raises(InvalidArgumentError, match="base_step"):
+                PretrainConfig(base_step=value)
 
     def test_directly_built_config_is_validated(self):
         gradient = LayerConfig("gradient", 1, 4, 16)

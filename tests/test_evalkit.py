@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from cskn.errors import InvalidArgumentError, UndefinedMetricError
 from cskn.evalkit import (
     ClassifierParams,
-    RetrievalRun,
-    precision_at_q,
     predict,
-    rank_by_euclidean,
+    retrieval_precision,
     roc_auc,
     top1_accuracy,
     train_svm,
 )
+from cskn.oracle import reference_retrieval_precision
 
 
 def grid_search_linear_top1(features, labels, classes):
@@ -157,68 +156,145 @@ class TestClassifierParams:
             )
 
 
+def precision(gallery, relevant, cutoffs, query=(0.0,), exclude=None):
+    """Single-query retrieval_precision over a gallery of rows."""
+    gallery = np.asarray(gallery, dtype=np.float64)
+    relevant = np.asarray([relevant], dtype=bool)
+    exclude = np.zeros_like(relevant) if exclude is None else np.asarray([exclude])
+    return retrieval_precision(
+        np.asarray([query], dtype=np.float64), gallery, relevant, exclude, cutoffs
+    )
+
+
 class TestRanking:
     def test_orders_by_distance(self):
-        gallery = np.array([[0.0], [3.0], [1.0], [2.0]])
-        run = rank_by_euclidean(np.array([0.9]), gallery)
-        assert run.ranked_ids == (2, 0, 3, 1)
-        np.testing.assert_allclose(run.distances, [0.1, 0.9, 1.1, 2.1])
+        # Distances to 0.9 are 0.9, 2.1, 0.1, 1.1: rank order 2, 0, 3, 1.
+        gallery = [[0.0], [3.0], [1.0], [2.0]]
+        got = precision(gallery, [True, False, False, False], [1, 2, 3, 4], query=(0.9,))
+        np.testing.assert_array_equal(got, [0.0, 0.5, 1 / 3, 0.25])
+        got = precision(gallery, [False, False, True, True], [1, 2, 3], query=(0.9,))
+        np.testing.assert_array_equal(got, [1.0, 0.5, 2 / 3])
 
     def test_ties_keep_gallery_order(self):
-        gallery = np.array([[1.0], [-1.0], [1.0]])
-        run = rank_by_euclidean(np.array([0.0]), gallery, gallery_ids=["p", "q", "r"])
-        assert run.ranked_ids == ("p", "q", "r")
+        got = precision([[1.0], [-1.0], [1.0]], [False, True, False], [1, 2, 3])
+        np.testing.assert_array_equal(got, [0.0, 0.5, 1 / 3])
 
     def test_relevance_reordered_with_ranking(self):
-        gallery = np.array([[5.0], [1.0], [3.0]])
-        run = rank_by_euclidean(
-            np.array([0.0]), gallery, relevant=[True, False, True]
+        # Ranked order is rows 1, 2, 0, so the flags read False, True, True.
+        got = precision([[5.0], [1.0], [3.0]], [True, False, True], [1, 2, 3])
+        np.testing.assert_array_equal(got, [0.0, 0.5, 2 / 3])
+
+    def test_excluded_rows_leave_the_ranking(self):
+        got = precision(
+            [[0.0], [1.0], [2.0]], [True, False, True], [1, 2], exclude=[True, False, False]
         )
-        assert run.relevance == (False, True, True)
+        np.testing.assert_array_equal(got, [0.0, 0.5])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            rank_by_euclidean(np.zeros(3), np.zeros((2, 2)))
+        with pytest.raises(InvalidArgumentError, match="dimensions differ"):
+            retrieval_precision(
+                np.zeros((1, 3)), np.zeros((2, 2)), np.ones((1, 2)), np.zeros((1, 2)), [1]
+            )
+        with pytest.raises(InvalidArgumentError, match="2-D"):
+            precision([0.0, 1.0], [True, True], [1])
 
     def test_empty_gallery(self):
-        with pytest.raises(InvalidArgumentError):
-            rank_by_euclidean(np.zeros(2), np.zeros((0, 2)))
+        with pytest.raises(InvalidArgumentError, match="no gallery item"):
+            precision(np.zeros((0, 2)), [], [1], query=(0.0, 0.0))
+        with pytest.raises(InvalidArgumentError, match="no gallery item"):
+            precision([[1.0]], [True], [1], exclude=[True])
 
 
 class TestRetrievalRun:
-    def test_requires_sorted_distances(self):
-        with pytest.raises(InvalidArgumentError):
-            RetrievalRun(0, (1, 2), np.array([2.0, 1.0]))
-
     def test_requires_aligned_relevance(self):
-        with pytest.raises(InvalidArgumentError):
-            RetrievalRun(0, (1, 2), np.array([1.0, 2.0]), relevance=(True,))
+        queries, gallery = np.zeros((2, 1)), np.zeros((3, 1))
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            retrieval_precision(queries, gallery, np.ones((2, 2)), np.zeros((2, 3)), [1])
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            retrieval_precision(queries, gallery, np.ones((2, 3)), np.zeros((3, 2)), [1])
+
+    def test_needs_a_query(self):
+        with pytest.raises(InvalidArgumentError, match="at least one query"):
+            retrieval_precision(np.zeros((0, 1)), np.zeros((3, 1)), np.ones((0, 3)),
+                                np.zeros((0, 3)), [1])
 
 
 class TestPrecisionAtQ:
     def test_hand_counts(self):
-        run = RetrievalRun(
-            0,
-            ("a", "b", "c", "d"),
-            np.array([0.1, 0.2, 0.3, 0.4]),
-            relevance=(True, False, True, True),
-        )
-        assert precision_at_q(run, 1) == 1.0
-        assert precision_at_q(run, 2) == 0.5
-        assert precision_at_q(run, 3) == pytest.approx(2 / 3)
-        assert precision_at_q(run, 4) == 0.75
+        got = precision([[0.1], [0.2], [0.3], [0.4]], [True, False, True, True], [1, 2, 3, 4])
+        assert got[0] == 1.0
+        assert got[1] == 0.5
+        assert got[2] == pytest.approx(2 / 3)
+        assert got[3] == 0.75
 
     def test_bounds_and_missing_relevance(self):
-        run = RetrievalRun(
-            0, ("a",), np.array([0.0]), relevance=(True,)
+        # A cutoff past the kept gallery is clamped to its size.
+        got = precision([[0.0], [1.0]], [False, True], [2, 3, 100])
+        np.testing.assert_array_equal(got, [0.5, 0.5, 0.5])
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            precision([[0.0]], [True], [0])
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            retrieval_precision(np.zeros((1, 1)), np.zeros((1, 1)), None, np.zeros((1, 1)), [1])
+
+    def test_mean_is_over_queries_in_order(self):
+        queries = np.array([[0.0], [10.0]])
+        gallery = np.array([[0.0], [10.0]])
+        relevant = np.array([[True, False], [True, False]])
+        got = retrieval_precision(queries, gallery, relevant, np.zeros((2, 2), bool), [1, 2])
+        np.testing.assert_array_equal(got, [0.5, 0.5])
+
+
+class TestMatchesReferenceLoop:
+    """The one-matrix ranking against the per-query reference loop, exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        num_queries=st.integers(1, 12),
+        num_gallery=st.integers(1, 25),
+        dim=st.integers(1, 5),
+        integer_valued=st.booleans(),
+    )
+    def test_random_galleries(self, seed, num_queries, num_gallery, dim, integer_valued):
+        rng = np.random.default_rng(seed)
+        if integer_valued:
+            # Few distinct small integers: duplicate rows and exact distance ties.
+            gallery = rng.integers(0, 3, size=(num_gallery, dim)).astype(np.float64)
+            queries = rng.integers(0, 3, size=(num_queries, dim)).astype(np.float64)
+        else:
+            gallery = rng.normal(size=(num_gallery, dim))
+            queries = rng.normal(size=(num_queries, dim))
+        relevant = rng.random((num_queries, num_gallery)) < 0.4
+        exclude = rng.random((num_queries, num_gallery)) < 0.2
+        exclude[exclude.all(axis=1), 0] = False
+        cutoffs = [1, 2, 5, num_gallery, num_gallery + 7]
+        np.testing.assert_array_equal(
+            retrieval_precision(queries, gallery, relevant, exclude, cutoffs),
+            reference_retrieval_precision(queries, gallery, relevant, exclude, cutoffs),
         )
-        with pytest.raises(InvalidArgumentError):
-            precision_at_q(run, 0)
-        with pytest.raises(InvalidArgumentError):
-            precision_at_q(run, 2)
-        bare = RetrievalRun(0, ("a",), np.array([0.0]))
-        with pytest.raises(InvalidArgumentError):
-            precision_at_q(bare, 1)
+
+    def test_train_split_self_exclusion(self):
+        # Queries drawn from the gallery leave their own row out, as the
+        # retrieve command does for train-split queries.
+        rng = np.random.default_rng(7)
+        gallery = rng.integers(0, 2, size=(20, 3)).astype(np.float64)
+        labels = rng.integers(0, 3, size=20)
+        picks = np.array([0, 4, 4, 19, 7])
+        exclude = picks[:, None] == np.arange(20)
+        relevant = labels[picks][:, None] == labels
+        cutoffs = [1, 3, 10, 19, 30]
+        np.testing.assert_array_equal(
+            retrieval_precision(gallery[picks], gallery, relevant, exclude, cutoffs),
+            reference_retrieval_precision(gallery[picks], gallery, relevant, exclude, cutoffs),
+        )
+
+    def test_both_reject_an_empty_ranking(self):
+        queries, gallery = np.zeros((2, 1)), np.zeros((2, 1))
+        relevant = np.ones((2, 2), dtype=bool)
+        exclude = np.array([[False, False], [True, True]])
+        for fn in (retrieval_precision, reference_retrieval_precision):
+            with pytest.raises(InvalidArgumentError):
+                fn(queries, gallery, relevant, exclude, [1])
 
 
 class TestTop1Accuracy:

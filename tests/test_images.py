@@ -11,7 +11,6 @@ from cskn.images import (
     load_image,
     rgb_to_luma,
     write_pgm,
-    write_ppm,
 )
 
 
@@ -192,14 +191,6 @@ class TestWriters:
         decoded, _ = decode_netpbm(path.read_bytes(), source=str(path))
         np.testing.assert_array_equal(decoded, np.rint(values * 255).astype(np.uint8))
 
-    def test_ppm_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        values = rng.integers(0, 256, size=(3, 5, 3)) / 255.0
-        path = tmp_path / "out.ppm"
-        write_ppm(path, values)
-        decoded, _ = decode_netpbm(path.read_bytes(), source=str(path))
-        np.testing.assert_array_equal(decoded, np.rint(values * 255).astype(np.uint8))
-
     def test_values_are_clipped(self, tmp_path):
         path = tmp_path / "clip.pgm"
         write_pgm(path, np.array([[-0.5, 1.5]]))
@@ -209,8 +200,6 @@ class TestWriters:
     def test_shape_guards(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             write_pgm(tmp_path / "bad.pgm", np.ones((2, 2, 3)))
-        with pytest.raises(InvalidArgumentError):
-            write_ppm(tmp_path / "bad.ppm", np.ones((2, 2)))
 
     def test_loader_reads_writer_output_exactly(self, tmp_path):
         values = np.array([[0.0, 1.0], [0.2, 0.8]])

@@ -7,7 +7,7 @@ import pytest
 
 from cskn import model_io
 from cskn.errors import FormatError
-from cskn.kernel_layer import LayerConfig, LayerParams
+from cskn.kernel_layer import MAX_SEED, LayerConfig, LayerParams
 from cskn.model_io import (
     DESCRIPTOR_MAGIC,
     MODEL_MAGIC,
@@ -82,6 +82,12 @@ class TestModelRoundTrip:
         save_model(two_layer_model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_largest_seed_survives(self, tmp_path):
+        layer = make_layer(LayerConfig("patch", 2, 2, 3, seed=MAX_SEED), dim=4, seed=2)
+        model = ModelBundle(layers=(layer,), pyramid_levels=(1,), input_size=16)
+        save_model(model, tmp_path / "model.bin")
+        assert load_model(tmp_path / "model.bin").layers[0].config.seed == MAX_SEED
 
     def test_provenance_types_survive(self, two_layer_model, tmp_path):
         path = tmp_path / "model.bin"
