@@ -50,12 +50,15 @@ def _descriptor_matrix(
 
 
 def _write_report(path: Path, rows: list[tuple[str, str]], as_json: bool) -> None:
-    text = "".join(f"{key}\t{value}\n" for key, value in rows)
-    path.write_text(text, encoding="utf-8")
+    outputs = [(path, "".join(f"{key}\t{value}\n" for key, value in rows))]
     if as_json:
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(dict(rows), indent=2, sort_keys=False) + "\n", encoding="utf-8"
-        )
+        twin = path.with_suffix(path.suffix + ".json")
+        outputs.append((twin, json.dumps(dict(rows), indent=2) + "\n"))
+    for target, text in outputs:
+        try:
+            target.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"{target}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _format_float(value: float) -> str:
@@ -100,6 +103,8 @@ def _parse_q_list(raw: str) -> list[int]:
         raise UsageError(f"--q expects comma-separated integers, got {raw!r}")
     if not values or any(v < 1 for v in values):
         raise UsageError(f"--q expects positive integers, got {raw!r}")
+    if len(set(values)) != len(values):
+        raise UsageError(f"--q cutoffs must be distinct, got {raw!r}")
     return values
 
 
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     retrieve.add_argument("--model", required=True)
     retrieve.add_argument("--manifest", required=True)
     retrieve.add_argument("--queries", help="comma-separated manifest paths (default: test split)")
-    retrieve.add_argument("--q", default="1,5,10,30", help="precision cutoffs")
+    retrieve.add_argument("--q", default="1,5,10,30", help="distinct precision cutoffs")
     retrieve.add_argument("--report", required=True)
     retrieve.add_argument("--json", action="store_true", help="also write a JSON twin")
     retrieve.set_defaults(func=_cmd_retrieve)

@@ -1,11 +1,12 @@
 """Sparsity-enforcing pre-training for layer filters.
 
-Each mini-batch of layer outputs is turned into a one-hot target matrix:
-after min-max normalizing the batch, every row selects the output with
-the largest inhibitor-adjusted response, the inhibitor grows with each
-selection, and a per-epoch capacity keeps lifetime selection counts
-balanced across outputs. Filters then take one adaptive gradient step
-toward those targets. The result initializes the pair-fitting stage.
+Each mini-batch of layer outputs is min-max normalized once, and every
+row then picks one winning output: the one with the largest
+inhibitor-adjusted response, where the inhibitor grows with each
+selection and a per-epoch capacity keeps selection counts balanced
+across outputs. Filters then take one adaptive gradient step toward the
+one-hot targets those winners define. The result initializes the
+pair-fitting stage.
 """
 
 from __future__ import annotations
@@ -32,59 +33,6 @@ from .kernel_layer import (
 )
 
 _RMS_EPSILON = 1e-8
-
-
-@dataclass(frozen=True)
-class SparseTarget:
-    """One-hot-per-row target matrix: a single 1 per row, 0 elsewhere."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.float64, copy=True)
-        if mat.ndim != 2 or mat.size == 0:
-            raise InvalidArgumentError("target matrix must be nonempty and 2-D")
-        is_active = mat == 1.0
-        if not np.logical_or(is_active, mat == 0.0).all():
-            raise InvalidArgumentError("target entries must be 0 or 1")
-        if not (is_active.sum(axis=1) == 1).all():
-            raise InvalidArgumentError("each target row needs exactly one active entry")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
-class InhibitorState:
-    """Per-epoch selection bookkeeping.
-
-    ``selection_counts`` tracks how often each output has been chosen this
-    epoch; ``epoch_total`` is the number of patches the epoch will see.
-    The inhibitor value of output j is counts_j * num_outputs / epoch_total,
-    derived on demand so it stays exactly proportional to the counts.
-    """
-
-    selection_counts: np.ndarray
-    epoch_total: int
-
-    def __post_init__(self) -> None:
-        counts = np.array(self.selection_counts, dtype=np.int64, copy=True)
-        if counts.ndim != 1 or counts.size == 0:
-            raise InvalidArgumentError("selection_counts must be a nonempty vector")
-        if (counts < 0).any():
-            raise InvalidArgumentError("selection counts must be nonnegative")
-        if self.epoch_total < 1:
-            raise InvalidArgumentError("epoch_total must be >= 1")
-        counts.setflags(write=False)
-        object.__setattr__(self, "selection_counts", counts)
-        object.__setattr__(self, "epoch_total", int(self.epoch_total))
-
-    @classmethod
-    def fresh(cls, num_outputs: int, epoch_total: int) -> "InhibitorState":
-        return cls(np.zeros(num_outputs, dtype=np.int64), epoch_total)
-
-    @property
-    def num_outputs(self) -> int:
-        return self.selection_counts.shape[0]
 
 
 @dataclass(frozen=True)
@@ -116,23 +64,30 @@ def _minmax_normalize(outputs: np.ndarray) -> tuple[np.ndarray, float]:
     """Batch-global min-max scaling; a constant batch maps to all zeros.
 
     Returns the normalized matrix and the scale 1/(max-min) (0 for a
-    constant batch), which the gradient step reuses.
+    constant batch), which the gradient step reuses. Non-finite entries
+    come out non-finite, so the epoch step's guard still sees them.
     """
     lo = float(outputs.min())
     hi = float(outputs.max())
     if hi > lo:
         scale = 1.0 / (hi - lo)
         return (outputs - lo) * scale, scale
-    return np.zeros_like(outputs), 0.0
+    return outputs - lo, 0.0
 
 
 def epls_epoch_step(
-    outputs: np.ndarray, state: InhibitorState
-) -> tuple[SparseTarget, InhibitorState]:
-    """Assign one active output per row under the epoch capacity.
+    normalized: np.ndarray, counts: np.ndarray, epoch_total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pick one winning output per row under the epoch capacity.
+
+    ``normalized`` holds the batch's min-max normalized responses and
+    ``counts`` the epoch's int64 selection counts so far, out of the
+    ``epoch_total`` selections the epoch will make. Returns the winner
+    index of every row and the updated counts (a new array).
 
     Rows are processed in order. Each row picks the eligible output
-    maximizing (normalized response - inhibitor), ties going to the lowest
+    maximizing (normalized response - inhibitor), where the inhibitor of
+    output j is counts_j * num_outputs / epoch_total; ties go to the lowest
     index. An output becomes ineligible once its epoch count reaches
     ceil(N / num_outputs); additionally, when the selections still owed to
     outputs below floor(N / num_outputs) equal the selections left in the
@@ -144,30 +99,28 @@ def epls_epoch_step(
     row by row; the deficit regime, once entered, lasts to the end of the
     epoch, and the penalties are rebuilt once when it starts.
     """
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if outputs.ndim != 2 or outputs.size == 0:
+    normalized = np.asarray(normalized, dtype=np.float64)
+    if normalized.ndim != 2 or normalized.size == 0:
         raise InvalidArgumentError("outputs must be a nonempty 2-D matrix")
-    if not np.isfinite(outputs).all():
+    if not np.isfinite(normalized).all():
         raise InvalidArgumentError("outputs contain non-finite values")
-    if outputs.shape[1] != state.num_outputs:
+    num_outputs = normalized.shape[1]
+    if counts.shape != (num_outputs,) or (counts < 0).any() or epoch_total < 1:
         raise InvalidArgumentError(
-            f"{outputs.shape[1]} outputs but state tracks {state.num_outputs}"
+            f"need {num_outputs} nonnegative selection counts and epoch_total >= 1"
         )
-    normalized, _ = _minmax_normalize(outputs)
-    num_outputs = state.num_outputs
-    total = state.epoch_total
-    cap_lo = total // num_outputs
-    inhibitor_unit = num_outputs / total
-    counts = state.selection_counts.copy()
-    remaining = total - int(counts.sum())
+    cap_lo = epoch_total // num_outputs
+    inhibitor_unit = num_outputs / epoch_total
+    counts = counts.copy()
+    remaining = epoch_total - int(counts.sum())
     deficit = int(np.maximum(cap_lo - counts, 0).sum())
-    cap = -(-total // num_outputs)
+    cap = -(-epoch_total // num_outputs)
     penalty = np.where(counts < cap, counts * inhibitor_unit, np.inf)
-    matrix = np.zeros_like(normalized)
+    winners = np.empty(normalized.shape[0], dtype=np.int64)
     for row in range(normalized.shape[0]):
         if remaining <= 0:
             raise CapacityExhaustedError(
-                f"epoch capacity of {total} selections already spent"
+                f"epoch capacity of {epoch_total} selections already spent"
             )
         if cap > cap_lo and deficit >= remaining:
             cap = cap_lo
@@ -182,8 +135,8 @@ def epls_epoch_step(
         penalty[winner] = (
             counts[winner] * inhibitor_unit if counts[winner] < cap else np.inf
         )
-        matrix[row, winner] = 1.0
-    return SparseTarget(matrix), InhibitorState(counts, total)
+        winners[row] = winner
+    return winners, counts
 
 
 def pretrain_layer(
@@ -199,9 +152,9 @@ def pretrain_layer(
     Filters start as distinct nonzero sub-patches, weights at
     1/num_filters. Each mini-batch contributes one gradient step on the
     squared Frobenius distance between normalized activations and the
-    sparse targets; steps are scaled per parameter by the running RMS of
-    its gradients. The inhibitor state resets every epoch. Deterministic
-    for fixed seeds.
+    one-hot targets of the batch's winners; steps are scaled per parameter
+    by the running RMS of its gradients. Selection counts reset every
+    epoch. Deterministic for fixed seeds.
     """
     if alpha <= 0:
         raise InvalidArgumentError("alpha must be positive")
@@ -223,7 +176,7 @@ def pretrain_layer(
     rho = pcfg.smoothing
     epoch_total = pcfg.patches_per_epoch
     for _ in range(pcfg.epochs):
-        state = InhibitorState.fresh(num_filters, epoch_total)
+        counts = np.zeros(num_filters, dtype=np.int64)
         if nz_idx.size >= epoch_total:
             epoch_idx = nz_idx[rng.permutation(nz_idx.size)[:epoch_total]]
         else:
@@ -236,8 +189,9 @@ def pretrain_layer(
             raw = gauss * np.sqrt(weights)[np.newaxis, :]
             raw *= mags[:, np.newaxis]
             normalized, scale = _minmax_normalize(raw)
-            target, state = epls_epoch_step(raw, state)
-            residual = normalized - target.matrix
+            winners, counts = epls_epoch_step(normalized, counts, epoch_total)
+            residual = normalized.copy()
+            residual[np.arange(winners.size), winners] -= 1.0
             loss = float(np.sum(residual * residual))
             if not math.isfinite(loss):
                 raise NumericFailureError("non-finite pre-training loss")

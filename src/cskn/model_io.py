@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .kernel_layer import LayerConfig, LayerParams
 from .network import ModelBundle, TrainedLayer
 
@@ -193,17 +193,21 @@ def _encode_model(model: ModelBundle) -> bytes:
 def _write_atomic(path: str | os.PathLike, data: bytes) -> None:
     """Write ``data`` to a fresh temp file beside ``path``, then rename it
     over ``path``; a failed write removes the temp file and leaves any
-    earlier file at ``path`` untouched."""
+    earlier file at ``path`` untouched. An OS error becomes a DataError
+    naming ``path``."""
     target = Path(path)
     temp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
-    handle = open(temp, "xb")
     try:
-        with handle:
-            handle.write(data)
-        os.replace(temp, target)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+        handle = open(temp, "xb")
+        try:
+            with handle:
+                handle.write(data)
+            os.replace(temp, target)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise DataError(f"{target}: cannot write: {exc.strerror or exc}") from exc
 
 
 def save_model(model: ModelBundle, path: str | os.PathLike) -> None:
@@ -261,9 +265,9 @@ def load_model(path: str | os.PathLike) -> ModelBundle:
                 alpha=alpha,
                 beta=beta,
             )
+            layers.append(TrainedLayer(config, params))
         except ValueError as exc:
             raise FormatError(f"{source}: invalid {field}: {exc}") from exc
-        layers.append(TrainedLayer(config, params))
     provenance = body.provenance("provenance")
     body.expect_end()
     try:

@@ -4,7 +4,7 @@ The exact match kernel evaluates the full double sum over sub-patch
 locations that the embedding approximates; the finite-difference helper
 checks analytic gradients; the reference pooling loop checks the sparse
 pooling operator; the reference pair objective checks the x+y form of the
-pair-fit; the reference epoch step checks the incremental sparse-target
+pair-fit; the reference epoch step checks the incremental winner
 bookkeeping; the per-query retrieval loop checks the one-matrix ranking.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .epls import InhibitorState, SparseTarget, _minmax_normalize
 from .errors import CapacityExhaustedError, InvalidArgumentError, NumericFailureError
 from .featmap import FeatureMap, extract_subpatches
 from .kernel_layer import _OBJECTIVE_CHUNK, _pooling_kernel, _sq_dists
@@ -176,40 +175,30 @@ def reference_pair_objective(
 
 
 def reference_epls_epoch_step(
-    outputs: np.ndarray, state: InhibitorState
-) -> tuple[SparseTarget, InhibitorState]:
-    """Assign one active output per row under the epoch capacity.
+    normalized: np.ndarray, counts: np.ndarray, epoch_total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pick one winning output per row under the epoch capacity.
 
-    Rows are processed in order. Each row picks the eligible output
-    maximizing (normalized response - inhibitor), ties going to the lowest
-    index. An output becomes ineligible once its epoch count reaches
-    ceil(N / num_outputs); additionally, when the selections still owed to
-    outputs below floor(N / num_outputs) equal the selections left in the
-    epoch, only those deficit outputs are eligible. Together the two rules
-    pin every epoch count into [floor(N/n), ceil(N/n)].
+    Same contract as ``epls.epls_epoch_step``, with every rule recomputed
+    from the counts at each row: rows are processed in order, each picking
+    the eligible output maximizing (normalized response - inhibitor), ties
+    going to the lowest index. An output becomes ineligible once its epoch
+    count reaches ceil(N / num_outputs); additionally, when the selections
+    still owed to outputs below floor(N / num_outputs) equal the selections
+    left in the epoch, only those deficit outputs are eligible. Inputs
+    are taken as valid; the fast step owns the guards.
     """
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if outputs.ndim != 2 or outputs.size == 0:
-        raise InvalidArgumentError("outputs must be a nonempty 2-D matrix")
-    if not np.isfinite(outputs).all():
-        raise InvalidArgumentError("outputs contain non-finite values")
-    if outputs.shape[1] != state.num_outputs:
-        raise InvalidArgumentError(
-            f"{outputs.shape[1]} outputs but state tracks {state.num_outputs}"
-        )
-    normalized, _ = _minmax_normalize(outputs)
-    num_outputs = state.num_outputs
-    total = state.epoch_total
-    cap_hi = -(-total // num_outputs)
-    cap_lo = total // num_outputs
-    inhibitor_unit = num_outputs / total
-    counts = state.selection_counts.copy()
-    matrix = np.zeros_like(normalized)
+    num_outputs = normalized.shape[1]
+    cap_hi = -(-epoch_total // num_outputs)
+    cap_lo = epoch_total // num_outputs
+    inhibitor_unit = num_outputs / epoch_total
+    counts = counts.copy()
+    winners = np.empty(normalized.shape[0], dtype=np.int64)
     for row in range(normalized.shape[0]):
-        remaining = total - int(counts.sum())
+        remaining = epoch_total - int(counts.sum())
         if remaining <= 0:
             raise CapacityExhaustedError(
-                f"epoch capacity of {total} selections already spent"
+                f"epoch capacity of {epoch_total} selections already spent"
             )
         deficit = int(np.maximum(cap_lo - counts, 0).sum())
         if deficit >= remaining:
@@ -221,9 +210,9 @@ def reference_epls_epoch_step(
         scores = normalized[row] - counts * inhibitor_unit
         scores = np.where(eligible, scores, -np.inf)
         winner = int(np.argmax(scores))
-        matrix[row, winner] = 1.0
+        winners[row] = winner
         counts[winner] += 1
-    return SparseTarget(matrix), InhibitorState(counts, total)
+    return winners, counts
 
 
 def reference_retrieval_precision(

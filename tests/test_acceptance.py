@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cskn.cli import run_command
-from cskn.epls import InhibitorState, epls_epoch_step
+from cskn.epls import epls_epoch_step
 from cskn.evalkit import retrieval_precision, roc_auc, top1_accuracy
 from cskn.featmap import FeatureMap, SubPatchPool, extract_subpatches
 from cskn.kernel_layer import (
@@ -101,19 +101,24 @@ class TestA2SparsityInvariants:
             else:
                 total = int(np.exp(rng.uniform(0.0, np.log(5000.0))))
                 num_outputs = int(rng.integers(1, 65))
-            state = InhibitorState.fresh(num_outputs, total)
+            returned = np.zeros(num_outputs, dtype=np.int64)
+            winners = []
             seen = 0
             while seen < total:
                 size = min(int(rng.integers(1, 513)), total - seen)
-                target, state = epls_epoch_step(
-                    rng.random((size, num_outputs)), state
+                batch, returned = epls_epoch_step(
+                    rng.random((size, num_outputs)), returned, total
                 )
-                active = np.sum(target.matrix == 1.0, axis=1)
-                assert (active == 1).all(), "a target row is not one-hot"
+                assert batch.shape == (size,), "a row lacks its one winner"
+                assert ((0 <= batch) & (batch < num_outputs)).all(), (
+                    "a winner index is out of range"
+                )
+                winners.append(batch)
                 seen += size
             lo = total // num_outputs
             hi = -(-total // num_outputs)
-            counts = state.selection_counts
+            counts = np.bincount(np.concatenate(winners), minlength=num_outputs)
+            assert np.array_equal(counts, returned)
             assert counts.sum() == total
             assert (counts >= lo).all() and (counts <= hi).all(), (
                 f"epoch {index}: counts outside [{lo}, {hi}]"
@@ -124,8 +129,8 @@ class TestA2SparsityInvariants:
         report(
             "A2",
             ok,
-            f"{epochs_checked} epochs (incl. 5000x64 boundary), every row "
-            f"one-hot, counts within floor/ceil, {elapsed:.1f}s (< 10s)",
+            f"{epochs_checked} epochs (incl. 5000x64 boundary), one winner "
+            f"per row, counts within floor/ceil, {elapsed:.1f}s (< 10s)",
         )
         assert epochs_checked == 100
         assert elapsed < 10.0

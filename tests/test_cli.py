@@ -233,6 +233,21 @@ class TestRetrieve:
             )
             assert status == 1
 
+    def test_repeated_cutoffs_are_a_usage_error(self, tiny_run, tmp_path, capsys):
+        report = tmp_path / "r.tsv"
+        status = run_command(
+            [
+                "retrieve",
+                "--model", str(tiny_run["model"]),
+                "--manifest", str(tiny_run["manifest"]),
+                "--q", "1,1,3",
+                "--report", str(report),
+            ]
+        )
+        assert status == 1
+        assert "distinct" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestClassify:
     def test_report_contents(self, tiny_run):
@@ -292,6 +307,27 @@ class TestExitCodes:
             ]
         )
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "command, flag, name",
+        [("extract", "--out", "d.cskd"), ("retrieve", "--report", "r.tsv")],
+    )
+    def test_unwritable_output_is_a_data_error(
+        self, tiny_run, tmp_path, capsys, command, flag, name
+    ):
+        target = tmp_path / "nodir" / name
+        status = run_command(
+            [
+                command,
+                "--model", str(tiny_run["model"]),
+                "--manifest", str(tiny_run["manifest"]),
+                flag, str(target),
+            ]
+        )
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"error: {target}: cannot write: No such file or directory\n"
+        )
 
     def test_bad_config_is_usage_error(self, tiny_manifest, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -1,4 +1,4 @@
-"""Sparse target construction and the pre-training loop."""
+"""Winner selection under the epoch capacity, and the pre-training loop."""
 
 import itertools
 
@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cskn.epls import (
-    InhibitorState,
     PretrainConfig,
-    SparseTarget,
+    _minmax_normalize,
     epls_epoch_step,
     init_gradient_layer,
     pretrain_layer,
@@ -24,89 +23,90 @@ from cskn.kernel_layer import LayerConfig
 from cskn.oracle import reference_epls_epoch_step
 
 
+def fresh(num_outputs):
+    return np.zeros(num_outputs, dtype=np.int64)
+
+
 class TestSparseTarget:
+    """A batch's sparse target is one winner index per row."""
+
     def test_accepts_one_hot_rows(self):
-        target = SparseTarget(np.eye(3))
-        np.testing.assert_array_equal(target.matrix, np.eye(3))
-
-    def test_rejects_multiple_active(self):
-        with pytest.raises(InvalidArgumentError):
-            SparseTarget(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_rejects_foreign_values(self):
-        with pytest.raises(InvalidArgumentError):
-            SparseTarget(np.array([[1.0, 0.5]]))
-
-    def test_custom_value_pair(self):
-        # Targets are always 1/0: any other on/off pair is rejected.
-        with pytest.raises(InvalidArgumentError):
-            SparseTarget(np.array([[0.9, -0.9], [-0.9, 0.9]]))
+        # One-hot responses within capacity are their own target: each
+        # row's winner is its active entry.
+        order = [2, 0, 3, 1]
+        winners, _ = epls_epoch_step(np.eye(4)[order], fresh(4), 4)
+        np.testing.assert_array_equal(winners, order)
 
 
 class TestInhibitorState:
+    """The epoch's selection counts and total, passed as plain values."""
+
     def test_fresh_state_is_zeroed(self):
-        state = InhibitorState.fresh(5, 100)
-        assert state.num_outputs == 5
-        assert state.epoch_total == 100
-        assert (state.selection_counts == 0).all()
+        counts = fresh(5)
+        winners, after = epls_epoch_step(np.eye(5)[:3], counts, 100)
+        np.testing.assert_array_equal(counts, np.zeros(5))
+        assert after.dtype == np.int64
+        np.testing.assert_array_equal(after, np.bincount(winners, minlength=5))
 
     def test_guards(self):
         with pytest.raises(InvalidArgumentError):
-            InhibitorState(np.array([-1, 0]), 10)
+            epls_epoch_step(np.ones((1, 2)), np.array([-1, 0]), 10)
         with pytest.raises(InvalidArgumentError):
-            InhibitorState(np.array([0, 0]), 0)
+            epls_epoch_step(np.ones((1, 2)), fresh(2), 0)
 
 
 class TestEpochStep:
     def test_clear_winners_trace(self):
-        outputs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        target, state = epls_epoch_step(outputs, InhibitorState.fresh(2, 2))
-        np.testing.assert_array_equal(target.matrix, np.eye(2))
-        np.testing.assert_array_equal(state.selection_counts, [1, 1])
+        normalized = np.array([[0.9, 0.1], [0.2, 0.8]])
+        winners, counts = epls_epoch_step(normalized, fresh(2), 2)
+        np.testing.assert_array_equal(winners, [0, 1])
+        np.testing.assert_array_equal(counts, [1, 1])
 
     def test_capacity_overrides_raw_preference(self):
         # The second row prefers output 0 too, but the epoch budget of one
         # selection per output forces it onto output 1.
-        outputs = np.array([[0.9, 0.1], [0.8, 0.7]])
-        target, state = epls_epoch_step(outputs, InhibitorState.fresh(2, 2))
-        np.testing.assert_array_equal(target.matrix, np.eye(2))
-        np.testing.assert_array_equal(state.selection_counts, [1, 1])
+        normalized = np.array([[0.9, 0.1], [0.8, 0.7]])
+        winners, counts = epls_epoch_step(normalized, fresh(2), 2)
+        np.testing.assert_array_equal(winners, [0, 1])
+        np.testing.assert_array_equal(counts, [1, 1])
 
     def test_constant_batch_normalizes_to_zero_and_ties_go_low(self):
-        outputs = np.full((2, 2), 0.4)
-        target, _ = epls_epoch_step(outputs, InhibitorState.fresh(2, 2))
-        np.testing.assert_array_equal(target.matrix, np.eye(2))
+        normalized, scale = _minmax_normalize(np.full((2, 2), 0.4))
+        np.testing.assert_array_equal(normalized, np.zeros((2, 2)))
+        assert scale == 0.0
+        winners, _ = epls_epoch_step(normalized, fresh(2), 2)
+        np.testing.assert_array_equal(winners, [0, 1])
 
     def test_tied_row_picks_lowest_index(self):
-        outputs = np.array([[0.5, 0.5, 0.5], [0.2, 0.8, 0.2]])
-        target, _ = epls_epoch_step(outputs, InhibitorState.fresh(3, 3))
-        assert target.matrix[0].argmax() == 0
+        normalized = np.array([[0.5, 0.5, 0.5], [0.2, 0.8, 0.2]])
+        winners, _ = epls_epoch_step(normalized, fresh(3), 3)
+        assert winners[0] == 0
 
     def test_state_threads_across_batches(self):
         rng = np.random.default_rng(0)
-        state = InhibitorState.fresh(4, 20)
+        counts = fresh(4)
         seen = 0
         while seen < 20:
             size = min(int(rng.integers(1, 7)), 20 - seen)
-            _, state = epls_epoch_step(rng.random((size, 4)), state)
+            _, counts = epls_epoch_step(rng.random((size, 4)), counts, 20)
             seen += size
-        assert state.selection_counts.sum() == 20
-        assert (state.selection_counts == 5).all()
+        assert counts.sum() == 20
+        assert (counts == 5).all()
 
     def test_overfeeding_the_epoch_raises(self):
-        state = InhibitorState.fresh(2, 2)
-        _, state = epls_epoch_step(np.random.default_rng(1).random((2, 2)), state)
+        _, counts = epls_epoch_step(np.random.default_rng(1).random((2, 2)), fresh(2), 2)
         with pytest.raises(CapacityExhaustedError):
-            epls_epoch_step(np.random.default_rng(2).random((1, 2)), state)
+            epls_epoch_step(np.random.default_rng(2).random((1, 2)), counts, 2)
 
     def test_shape_and_finiteness_guards(self):
-        state = InhibitorState.fresh(3, 10)
         with pytest.raises(InvalidArgumentError):
-            epls_epoch_step(np.ones((2, 2)), state)
+            epls_epoch_step(np.ones((2, 2)), fresh(3), 10)
+        with pytest.raises(InvalidArgumentError):
+            epls_epoch_step(np.ones((0, 3)), fresh(3), 10)
         bad = np.ones((2, 3))
         bad[0, 0] = np.inf
         with pytest.raises(InvalidArgumentError):
-            epls_epoch_step(bad, state)
+            epls_epoch_step(bad, fresh(3), 10)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -116,38 +116,49 @@ class TestEpochStep:
     )
     def test_epoch_counts_stay_balanced(self, seed, num_outputs, total):
         rng = np.random.default_rng(seed)
-        state = InhibitorState.fresh(num_outputs, total)
+        counts = fresh(num_outputs)
+        winners = []
         seen = 0
         while seen < total:
             size = min(int(rng.integers(1, 8)), total - seen)
-            target, state = epls_epoch_step(rng.random((size, num_outputs)), state)
-            assert (np.sum(target.matrix == 1.0, axis=1) == 1).all()
+            batch, counts = epls_epoch_step(
+                rng.random((size, num_outputs)), counts, total
+            )
+            assert batch.shape == (size,)
+            winners.append(batch)
             seen += size
+        winners = np.concatenate(winners)
+        assert ((0 <= winners) & (winners < num_outputs)).all()
+        np.testing.assert_array_equal(
+            np.bincount(winners, minlength=num_outputs), counts
+        )
         lo = total // num_outputs
         hi = -(-total // num_outputs)
-        assert (state.selection_counts >= lo).all()
-        assert (state.selection_counts <= hi).all()
+        assert (counts >= lo).all()
+        assert (counts <= hi).all()
 
 
-def step_outcome(step, outputs, state):
+def step_outcome(step, normalized, counts, total):
     try:
-        target, after = step(outputs, state)
+        return step(normalized, counts, total)
     except CapacityExhaustedError as exc:
         return str(exc)
-    return target.matrix, after.selection_counts
 
 
-def assert_same_step(outputs, state):
-    """The incremental step and the reference loop agree bit for bit."""
-    new = step_outcome(epls_epoch_step, outputs, state)
-    old = step_outcome(reference_epls_epoch_step, outputs, state)
+def assert_same_step(normalized, counts, total):
+    """The incremental step and the reference loop agree bit for bit.
+
+    Returns the updated counts, or None when both raised the same error.
+    """
+    new = step_outcome(epls_epoch_step, normalized, counts, total)
+    old = step_outcome(reference_epls_epoch_step, normalized, counts, total)
     assert type(new) is type(old)
     if isinstance(old, str):
         assert new == old
         return None
     np.testing.assert_array_equal(new[0], old[0])
     np.testing.assert_array_equal(new[1], old[1])
-    return InhibitorState(new[1], state.epoch_total)
+    return new[1]
 
 
 class TestEpochStepAgainstReference:
@@ -156,24 +167,24 @@ class TestEpochStepAgainstReference:
         rng = np.random.default_rng(seed)
         num_outputs = int(rng.integers(1, 10))
         total = int(rng.integers(1, 300))
-        state = InhibitorState.fresh(num_outputs, total)
+        counts = fresh(num_outputs)
         seen = 0
         while seen < total:
             size = min(int(rng.integers(1, 50)), total - seen)
-            outputs = rng.random((size, num_outputs))
+            normalized = rng.random((size, num_outputs))
             if seed % 2:
-                outputs = np.round(4.0 * outputs)  # many ties
-            state = assert_same_step(outputs, state)
+                normalized = np.round(4.0 * normalized) / 4.0  # many ties
+            counts = assert_same_step(normalized, counts, total)
             seen += size
-        assert assert_same_step(rng.random((1, num_outputs)), state) is None
+        assert assert_same_step(rng.random((1, num_outputs)), counts, total) is None
 
     def test_deficit_regime_after_the_favourites_fill(self):
         # 42 selections over 4 outputs: caps 10 and 11. Rows prefer outputs
         # 0 and 1; once both hold 11, the 20 selections left are exactly
         # the deficit of outputs 2 and 3, and only those stay eligible.
-        outputs = np.tile([1.0, 0.9, 0.0, 0.1], (42, 1))
-        state = assert_same_step(outputs, InhibitorState.fresh(4, 42))
-        np.testing.assert_array_equal(state.selection_counts, [11, 11, 10, 10])
+        normalized = np.tile([1.0, 0.9, 0.0, 0.1], (42, 1))
+        counts = assert_same_step(normalized, fresh(4), 42)
+        np.testing.assert_array_equal(counts, [11, 11, 10, 10])
 
     def test_every_small_state(self):
         # Includes spent epochs and counts above both caps. "Every output
@@ -184,8 +195,11 @@ class TestEpochStepAgainstReference:
             for total in range(1, 8):
                 cap_hi = -(-total // num_outputs)
                 for counts in itertools.product(range(cap_hi + 2), repeat=num_outputs):
-                    state = InhibitorState(np.array(counts), total)
-                    assert_same_step(rng.random((3, num_outputs)), state)
+                    assert_same_step(
+                        rng.random((3, num_outputs)),
+                        np.array(counts, dtype=np.int64),
+                        total,
+                    )
 
 
 def unit_pool(rng, count, dim=4):
@@ -257,6 +271,22 @@ class TestPretrainLayer:
         config = LayerConfig("patch", 1, 2, 4, seed=0)
         with pytest.raises(DegeneratePoolError):
             pretrain_layer(pool, config, PretrainConfig(), alpha=0.5)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["nan_vectors", "inf_norm"])
+    def test_non_finite_responses_are_rejected(self, bad):
+        # The batch is normalized before the epoch step sees it; a NaN or
+        # infinite response must still reach the step's finiteness guard.
+        rng = np.random.default_rng(13)
+        pool = unit_pool(rng, 40)
+        if bad == "nan_vectors":
+            pool.normalized[:] = np.nan
+        else:
+            pool.norms[5] = np.inf
+        config = LayerConfig("patch", 1, 2, 4, seed=0)
+        pcfg = PretrainConfig(batch_size=40, patches_per_epoch=40, epochs=1, seed=1)
+        with pytest.raises(InvalidArgumentError, match="outputs contain non-finite"):
+            pretrain_layer(pool, config, pcfg, alpha=0.5)
 
     def test_alpha_guard(self):
         rng = np.random.default_rng(12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cskn import model_io
-from cskn.errors import FormatError
+from cskn.errors import DataError, FormatError
 from cskn.kernel_layer import MAX_SEED, LayerConfig, LayerParams
 from cskn.model_io import (
     DESCRIPTOR_MAGIC,
@@ -171,6 +171,23 @@ class TestModelCorruption:
         with pytest.raises(FormatError, match="input kind"):
             load_model(broken)
 
+    def test_filter_count_mismatch_names_file_and_layer(self, saved, tmp_path):
+        path, data = saved
+        # Layer 1's num_filters follows its kind byte, sub_patch_size and
+        # subsampling_factor; the file still holds 100 filter rows.
+        offset = 16 + 4 + 4 + 16 + 4 + 1 + 4 + 4
+        assert struct.unpack_from("<I", data, offset) == (100,)
+        broken = tmp_path / "broken.bin"
+        broken.write_bytes(data[:offset] + struct.pack("<I", 99) + data[offset + 4 :])
+        with pytest.raises(FormatError, match=r"broken\.bin: invalid layer 1: .*filter count"):
+            load_model(broken)
+
+    def test_unwritable_target_names_the_path(self, two_layer_model, tmp_path):
+        target = tmp_path / "nodir" / "model.bin"
+        with pytest.raises(DataError) as caught:
+            save_model(two_layer_model, target)
+        assert str(caught.value) == f"{target}: cannot write: No such file or directory"
+
 
 class TestDescriptorRoundTrip:
     def test_entries_and_matrix(self, tmp_path):
@@ -260,7 +277,7 @@ class TestAtomicWrites:
                 raise OSError("disk full")
 
         monkeypatch.setattr(model_io, "open", HalfWriter, raising=False)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(DataError, match="out.bin: cannot write: disk full"):
             save(path)
         assert written == [len(expected) // 2]
         assert path.read_bytes() == b"earlier contents"
