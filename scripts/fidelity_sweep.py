@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from cskn.featmap import SubPatchPool, extract_subpatches
+from cskn.featmap import SubPatchPool, extract_subpatches, harvest_subpatches
 from cskn.kernel_layer import (
     LayerConfig,
     LayerParams,
@@ -46,11 +46,10 @@ def fidelity_mae(
         one = centers[rng.integers(0, len(centers))][np.newaxis, :]
         return mixture_feature_map(rng, extent, one, spread=0.25)
 
-    grids = [extract_subpatches(make_map(), 1) for _ in range(32)]
-    full = SubPatchPool.from_grids(grids)
+    full = harvest_subpatches([make_map() for _ in range(32)], 1)
     pool = SubPatchPool(full.norms[:pool_size], full.normalized[:pool_size])
     held_out = [(make_map(), make_map()) for _ in range(held_out_pairs)]
-    alpha = estimate_alpha(pool.normalized, 0.1, seed=seed)
+    alpha = estimate_alpha(pool, 0.1, seed=seed)
     beta = compute_beta(factor)
     batch = sample_training_pairs(pool, pairs, alpha, seed=seed + 1)
     nonzero = pool.normalized[pool.norms > 0]

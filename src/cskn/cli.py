@@ -25,7 +25,7 @@ from .errors import (
 )
 from .evalkit import predict, retrieval_precision, roc_auc, top1_accuracy, train_svm
 from .images import load_image
-from .model_io import load_model, save_descriptors, save_model
+from .model_io import check_writable, load_model, save_descriptors, save_model
 from .network import ModelBundle, forward_network, train_network
 from .selftest import run_selftest
 
@@ -71,6 +71,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train_entries = manifest.split_entries("train")
     if not train_entries:
         raise DataError(f"{args.manifest}: no train-split entries to learn from")
+    # Fail before the fit, not after it, when the model cannot be saved.
+    check_writable(args.out)
     images = [load_image(manifest.resolve(e), run.input_size, run.grayscale) for e in train_entries]
     model = train_network(
         images, run.layers, run.pretrain, pyramid_levels=run.pyramid_levels

@@ -6,12 +6,14 @@ grayscale image (two), or the output of a network layer (one channel per
 filter). Sub-patches are square windows of a map, split into a magnitude
 (the window's Euclidean norm) and a direction (the contrast-normalized
 window), so that downstream similarity is computed on the unit sphere
-while magnitudes re-enter as linear weights.
+while magnitudes re-enter as linear weights. Training harvests every
+window of a layer's maps into one pool buffer, read in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,23 +83,26 @@ class SubPatchGrid:
 
 
 class SubPatchPool:
-    """A bag of sub-patches pooled across maps (grid structure dropped)."""
+    """A bag of sub-patches in one (count, dim) buffer, plus their norms.
 
-    def __init__(self, norms: np.ndarray, normalized: np.ndarray) -> None:
+    ``grids`` gives each harvested map's windows as a SubPatchGrid whose
+    arrays are a row-slice view of the buffer; a pool built from bare
+    arrays has none.
+    """
+
+    def __init__(
+        self,
+        norms: np.ndarray,
+        normalized: np.ndarray,
+        grids: "tuple[SubPatchGrid, ...]" = (),
+    ) -> None:
         norms = np.asarray(norms, dtype=np.float64)
         normalized = np.asarray(normalized, dtype=np.float64)
         if normalized.ndim != 2 or norms.shape != (normalized.shape[0],):
             raise InvalidArgumentError("inconsistent pool arrays")
         self.norms = norms
         self.normalized = normalized
-
-    @classmethod
-    def from_grids(cls, grids: "list[SubPatchGrid]") -> "SubPatchPool":
-        if not grids:
-            raise InvalidArgumentError("cannot pool zero grids")
-        norms = np.concatenate([g.norms for g in grids])
-        normalized = np.concatenate([g.normalized for g in grids])
-        return cls(norms, normalized)
+        self.grids = tuple(grids)
 
     @property
     def dim(self) -> int:
@@ -105,6 +110,32 @@ class SubPatchPool:
 
     def __len__(self) -> int:
         return self.norms.shape[0]
+
+
+def _window_grid(feature_map: FeatureMap, patch_size: int) -> np.ndarray:
+    """The (rows, cols, c, e, e) window view of a map, size-checked."""
+    e = int(patch_size)
+    if e < 1:
+        raise InvalidArgumentError(f"patch size must be >= 1, got {e}")
+    h, w, _ = feature_map.values.shape
+    if e > h or e > w:
+        raise InvalidArgumentError(
+            f"patch size {e} exceeds map extent {h}x{w}"
+        )
+    return sliding_window_view(feature_map.values, (e, e), axis=(0, 1))
+
+
+def _fill_subpatches(windows: np.ndarray, normalized: np.ndarray) -> np.ndarray:
+    """Copy the windows into ``normalized``, normalize it in place, and
+    return the windows' norms."""
+    # (rows, cols, c, e, e) flattens to channel-major sub-patch vectors.
+    normalized.reshape(windows.shape)[...] = windows
+    norms = np.linalg.norm(normalized, axis=1)
+    np.divide(normalized, norms[:, np.newaxis], out=normalized, where=norms[:, np.newaxis] > 0)
+    # A window of tiny values whose squares underflow also has norm 0; its
+    # direction must be zero like that of an all-zero window.
+    normalized[norms == 0] = 0.0
+    return norms
 
 
 def extract_subpatches(feature_map: FeatureMap, patch_size: int) -> SubPatchGrid:
@@ -116,26 +147,36 @@ def extract_subpatches(feature_map: FeatureMap, patch_size: int) -> SubPatchGrid
     channel block in row-major order; with e = 1 it is the pixel's
     channel vector.
     """
-    e = int(patch_size)
-    if e < 1:
-        raise InvalidArgumentError(f"patch size must be >= 1, got {e}")
-    h, w, c = feature_map.values.shape
-    if e > h or e > w:
-        raise InvalidArgumentError(
-            f"patch size {e} exceeds map extent {h}x{w}"
-        )
-    windows = sliding_window_view(feature_map.values, (e, e), axis=(0, 1))
-    rows, cols = windows.shape[0], windows.shape[1]
-    # (rows, cols, c, e, e) flattens to channel-major sub-patch vectors,
-    # copied once into a buffer that is then normalized in place.
+    windows = _window_grid(feature_map, patch_size)
+    rows, cols, c, e, _ = windows.shape
     normalized = np.empty((rows * cols, c * e * e))
-    normalized.reshape(windows.shape)[...] = windows
-    norms = np.linalg.norm(normalized, axis=1)
-    np.divide(normalized, norms[:, np.newaxis], out=normalized, where=norms[:, np.newaxis] > 0)
-    # A window of tiny values whose squares underflow also has norm 0; its
-    # direction must be zero like that of an all-zero window.
-    normalized[norms == 0] = 0.0
+    norms = _fill_subpatches(windows, normalized)
     return SubPatchGrid((rows, cols), norms, normalized)
+
+
+def harvest_subpatches(maps: Sequence[FeatureMap], patch_size: int) -> SubPatchPool:
+    """Every valid window of equal-size maps, in one pool.
+
+    Map k's windows fill rows k * n .. (k + 1) * n - 1 of the pool, for n
+    windows per map, exactly as ``extract_subpatches`` would give them;
+    ``pool.grids[k]`` views those rows. Each map is extracted straight into
+    the pool's buffer, so the sub-patches exist once.
+    """
+    if not maps:
+        raise InvalidArgumentError("cannot harvest zero maps")
+    shape = maps[0].values.shape
+    if any(m.values.shape != shape for m in maps):
+        raise InvalidArgumentError("harvested maps must share one shape")
+    rows, cols, c, e, _ = _window_grid(maps[0], patch_size).shape
+    n = rows * cols
+    normalized = np.empty((len(maps) * n, c * e * e))
+    norms = np.empty(len(maps) * n)
+    grids = []
+    for k, feature_map in enumerate(maps):
+        block = slice(k * n, (k + 1) * n)
+        norms[block] = _fill_subpatches(_window_grid(feature_map, e), normalized[block])
+        grids.append(SubPatchGrid((rows, cols), norms[block], normalized[block]))
+    return SubPatchPool(norms, normalized, grids)
 
 
 def build_gradient_map(image: FeatureMap) -> FeatureMap:

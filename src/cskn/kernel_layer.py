@@ -34,7 +34,7 @@ from .errors import (
 from .featmap import FeatureMap, SubPatchGrid, SubPatchPool
 
 ALPHA_PAIR_SAMPLE_CAP = 100_000
-_ALPHA_CHUNK = 8_192
+_PAIR_CHUNK = 2_048
 LBFGS_MEMORY = 10
 LBFGS_MAX_ITER = 200
 LBFGS_PGTOL = 1e-5
@@ -139,45 +139,58 @@ class LayerParams:
         return self.filters.shape[1]
 
 
+def _read_only(values) -> np.ndarray:
+    """A read-only float64 view of ``values``; copies only to convert."""
+    arr = np.asarray(values, dtype=np.float64).view()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class PairBatch:
     """Sampled sub-patch pairs with their Gaussian similarity targets.
 
-    Built from ``(left, right, targets)``, but kept only as each pair's
-    sum ``left + right`` and summed squared norms ``||left||^2 +
-    ||right||^2``: the pair objective sees a pair through nothing else.
+    A pair (left, right) is kept only as its sum ``left + right`` and its
+    summed squared norms ``||left||^2 + ||right||^2``: the pair objective
+    sees a pair through nothing else. The arrays are held as read-only
+    views, not copied; ``from_pairs`` builds a batch from the two members.
     """
 
-    left: InitVar[np.ndarray]
-    right: InitVar[np.ndarray]
+    sums: np.ndarray
+    sq_norms: np.ndarray
     targets: np.ndarray
-    sums: np.ndarray = field(init=False)
-    sq_norms: np.ndarray = field(init=False)
 
-    def __post_init__(self, left: np.ndarray, right: np.ndarray) -> None:
-        left = np.asarray(left, dtype=np.float64)
-        right = np.asarray(right, dtype=np.float64)
-        targets = _frozen_array(self.targets, dtype=np.float64)
-        if left.ndim != 2 or left.shape != right.shape:
-            raise InvalidArgumentError("left/right must be matching 2-D arrays")
-        if targets.shape != (left.shape[0],):
-            raise InvalidArgumentError("one target per pair required")
+    def __post_init__(self) -> None:
+        sums = _read_only(self.sums)
+        sq_norms = _read_only(self.sq_norms)
+        targets = _read_only(self.targets)
+        if sums.ndim != 2:
+            raise InvalidArgumentError("pair sums must be a 2-D array")
+        if sq_norms.shape != (sums.shape[0],) or targets.shape != (sums.shape[0],):
+            raise InvalidArgumentError("one squared norm and one target per pair required")
         if not (
-            np.isfinite(left).all()
-            and np.isfinite(right).all()
+            np.isfinite(sums).all()
+            and np.isfinite(sq_norms).all()
             and np.isfinite(targets).all()
         ):
             raise InvalidArgumentError("pair batch contains non-finite values")
         if (targets < 0).any() or (targets > 1).any():
             raise InvalidArgumentError("targets must lie in [0, 1]")
-        sums = np.add(left, right)
-        sq_norms = np.einsum("ij,ij->i", left, left)
-        sq_norms += np.einsum("ij,ij->i", right, right)
-        sums.setflags(write=False)
-        sq_norms.setflags(write=False)
-        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "sums", sums)
         object.__setattr__(self, "sq_norms", sq_norms)
+        object.__setattr__(self, "targets", targets)
+
+    @classmethod
+    def from_pairs(
+        cls, left: np.ndarray, right: np.ndarray, targets: np.ndarray
+    ) -> "PairBatch":
+        left = np.asarray(left, dtype=np.float64)
+        right = np.asarray(right, dtype=np.float64)
+        if left.ndim != 2 or left.shape != right.shape:
+            raise InvalidArgumentError("left/right must be matching 2-D arrays")
+        sq_norms = np.einsum("ij,ij->i", left, left)
+        sq_norms += np.einsum("ij,ij->i", right, right)
+        return cls(np.add(left, right), sq_norms, np.array(targets, dtype=np.float64))
 
     def __len__(self) -> int:
         return self.targets.shape[0]
@@ -197,12 +210,8 @@ def empirical_quantile(values: np.ndarray, quantile: float) -> float:
     return float(np.quantile(values, quantile, method="linear"))
 
 
-def _nonzero_rows(vectors: np.ndarray) -> np.ndarray:
-    return vectors[np.any(vectors != 0.0, axis=1)]
-
-
 def estimate_alpha(
-    normalized: np.ndarray,
+    pool: SubPatchPool,
     quantile: float,
     *,
     max_pairs: int = ALPHA_PAIR_SAMPLE_CAP,
@@ -210,34 +219,34 @@ def estimate_alpha(
 ) -> float:
     """Similarity bandwidth: a quantile of pairwise patch distances.
 
-    Takes a (count, dim) matrix of normalized sub-patch vectors (a pool's
-    ``normalized``); all-zero rows (zero-norm windows) are ignored. When
-    the number of distinct unordered pairs exceeds ``max_pairs`` a
-    uniform sample of that many pairs is used instead of the full set.
+    Distances are between the pool's normalized vectors; zero-norm
+    sub-patches are ignored. When the number of distinct unordered pairs
+    exceeds ``max_pairs`` a uniform sample of that many pairs is used
+    instead of the full set.
     """
-    vectors = np.asarray(normalized, dtype=np.float64)
-    if vectors.ndim != 2:
-        raise InvalidArgumentError("expected a (count, dim) matrix of sub-patches")
-    vectors = _nonzero_rows(vectors)
-    n = vectors.shape[0]
+    nonzero = np.flatnonzero(pool.norms > 0)
+    n = nonzero.size
     if n < 2:
         raise DegenerateSampleError(
             "need at least two nonzero sub-patches to estimate alpha"
         )
     total_pairs = n * (n - 1) // 2
     if total_pairs <= max_pairs:
-        distances = pdist(vectors)
+        distances = pdist(pool.normalized[nonzero])
     else:
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=max_pairs)
         # Uniform over j != i: shift by a nonzero offset modulo n.
-        j = (i + rng.integers(1, n, size=max_pairs)) % n
+        j = nonzero[(i + rng.integers(1, n, size=max_pairs)) % n]
+        i = nonzero[i]
         # Row chunks bound the (pairs, dim) temporaries; each row's norm is
         # reduced alone, so the distances do not depend on the chunk size.
         distances = np.empty(max_pairs)
-        for start in range(0, max_pairs, _ALPHA_CHUNK):
-            rows = slice(start, start + _ALPHA_CHUNK)
-            distances[rows] = np.linalg.norm(vectors[i[rows]] - vectors[j[rows]], axis=1)
+        for start in range(0, max_pairs, _PAIR_CHUNK):
+            rows = slice(start, start + _PAIR_CHUNK)
+            diff = pool.normalized[i[rows]]
+            diff -= pool.normalized[j[rows]]
+            distances[rows] = np.linalg.norm(diff, axis=1)
     alpha = empirical_quantile(distances, quantile)
     if alpha <= 0.0:
         raise DegenerateSampleError(
@@ -505,24 +514,35 @@ def sample_training_pairs(
     """Draw pairs of nonzero sub-patches uniformly with replacement.
 
     Targets are ``exp(-||x - y||^2 / (2 alpha^2))`` on the normalized
-    vectors; a pair may repeat one patch twice (target exactly 1).
+    vectors; a pair may repeat one patch twice (target exactly 1). The
+    batch is built in row chunks straight from the pool, each row reduced
+    alone, so it matches ``PairBatch.from_pairs`` on the gathered members
+    bit for bit without ever holding them.
     """
     if count < 1:
         raise InvalidArgumentError("pair count must be >= 1")
     if alpha <= 0:
         raise InvalidArgumentError("alpha must be positive")
-    keep = pool.norms > 0
-    vectors = pool.normalized[keep]
-    n = vectors.shape[0]
+    nonzero = np.flatnonzero(pool.norms > 0)
+    n = nonzero.size
     if n < 2:
         raise DegeneratePoolError(
             "need at least two nonzero sub-patches to sample pairs"
         )
     rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=count)
-    j = rng.integers(0, n, size=count)
-    left = vectors[i]
-    right = vectors[j]
-    d2 = np.sum((left - right) ** 2, axis=1)
+    i = nonzero[rng.integers(0, n, size=count)]
+    j = nonzero[rng.integers(0, n, size=count)]
+    sums = np.empty((count, pool.dim))
+    sq_norms = np.empty(count)
+    d2 = np.empty(count)
+    for start in range(0, count, _PAIR_CHUNK):
+        rows = slice(start, start + _PAIR_CHUNK)
+        left = pool.normalized[i[rows]]
+        right = pool.normalized[j[rows]]
+        np.add(left, right, out=sums[rows])
+        sq_norms[rows] = np.einsum("ij,ij->i", left, left)
+        sq_norms[rows] += np.einsum("ij,ij->i", right, right)
+        left -= right
+        d2[rows] = np.sum(np.square(left, out=left), axis=1)
     targets = np.exp(-d2 / (2.0 * alpha * alpha))
-    return PairBatch(left, right, targets)
+    return PairBatch(sums, sq_norms, targets)

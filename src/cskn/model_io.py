@@ -190,13 +190,33 @@ def _encode_model(model: ModelBundle) -> bytes:
     return head.blob() + payload
 
 
+def _temp_beside(target: Path) -> Path:
+    return target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+
+
+def _cannot_write(target: Path, exc: OSError) -> DataError:
+    return DataError(f"{target}: cannot write: {exc.strerror or exc}")
+
+
+def check_writable(path: str | os.PathLike) -> None:
+    """Fail now with the DataError a later write to ``path`` would raise
+    for its directory: create and remove a temp file beside it."""
+    target = Path(path)
+    temp = _temp_beside(target)
+    try:
+        open(temp, "xb").close()
+        temp.unlink()
+    except OSError as exc:
+        raise _cannot_write(target, exc) from exc
+
+
 def _write_atomic(path: str | os.PathLike, data: bytes) -> None:
     """Write ``data`` to a fresh temp file beside ``path``, then rename it
     over ``path``; a failed write removes the temp file and leaves any
     earlier file at ``path`` untouched. An OS error becomes a DataError
     naming ``path``."""
     target = Path(path)
-    temp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    temp = _temp_beside(target)
     try:
         handle = open(temp, "xb")
         try:
@@ -207,7 +227,7 @@ def _write_atomic(path: str | os.PathLike, data: bytes) -> None:
             temp.unlink(missing_ok=True)
             raise
     except OSError as exc:
-        raise DataError(f"{target}: cannot write: {exc.strerror or exc}") from exc
+        raise _cannot_write(target, exc) from exc
 
 
 def save_model(model: ModelBundle, path: str | os.PathLike) -> None:

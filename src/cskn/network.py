@@ -24,6 +24,7 @@ from .featmap import (
     SubPatchPool,
     build_gradient_map,
     extract_subpatches,
+    harvest_subpatches,
 )
 from .kernel_layer import (
     ALPHA_PAIR_SAMPLE_CAP,
@@ -255,24 +256,19 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def train_network(
-    images: Sequence[FeatureMap],
-    configs: Sequence[LayerConfig],
-    pcfg: PretrainConfig,
-    *,
-    pyramid_levels: Sequence[int] = DEFAULT_PYRAMID_LEVELS,
-) -> ModelBundle:
-    """Layer-wise unsupervised training over a set of equal-size images.
+def _harvest(maps: Sequence[FeatureMap], config: LayerConfig) -> SubPatchPool:
+    # The training-side twin of _layer_grid, over all maps at once.
+    if config.input_kind == "gradient":
+        maps = [build_gradient_map(m) for m in maps]
+    return harvest_subpatches(maps, config.sub_patch_size)
 
-    Per layer: harvest all sub-patches of the current maps, estimate the
-    similarity bandwidth from the configured distance quantile, derive the
-    spatial bandwidth from the pooling stride, initialize filters
-    (orientation grid for a gradient layer, sparsity pre-training
-    otherwise), then fit the pair objective and forward every image
-    through the sealed layer. Deterministic: all randomness flows from the
-    layer and pre-training seeds.
-    """
-    images = list(images)
+
+def _check_training_inputs(
+    images: list[FeatureMap],
+    configs: Sequence[LayerConfig],
+    pyramid_levels: Sequence[int],
+) -> tuple[int, ...]:
+    """The rules train_network checks before any work; returns the levels."""
     if not images:
         raise InvalidArgumentError("training needs at least one image")
     if not configs:
@@ -285,9 +281,11 @@ def train_network(
             raise InvalidArgumentError("all training images must share channels")
     for index, config in enumerate(configs):
         check_layer_input(index, config)
-    pyramid_levels = check_pyramid_levels(pyramid_levels)
+    return check_pyramid_levels(pyramid_levels)
 
-    provenance: dict[str, int | float | str] = {
+
+def _training_provenance(pcfg: PretrainConfig) -> dict[str, int | float | str]:
+    return {
         "lbfgs_memory": LBFGS_MEMORY,
         "lbfgs_max_iter": LBFGS_MAX_ITER,
         "lbfgs_pgtol": LBFGS_PGTOL,
@@ -295,41 +293,87 @@ def train_network(
         "alpha_pair_cap": ALPHA_PAIR_SAMPLE_CAP,
         **{f"pretrain_{key}": value for key, value in asdict(pcfg).items()},
     }
-    maps = images
+
+
+def _fit_layer(
+    pool: SubPatchPool,
+    index: int,
+    config: LayerConfig,
+    pcfg: PretrainConfig,
+    provenance: dict[str, int | float | str],
+) -> TrainedLayer:
+    """Train one layer on its sub-patch pool and seal it; records the
+    layer's bandwidths, pair losses and solver outcome in ``provenance``."""
+    alpha_seed, pair_seed = _derived_seeds(config.seed)
+    alpha = estimate_alpha(pool, config.alpha_quantile, seed=alpha_seed)
+    beta = compute_beta(config.subsampling_factor)
+    if config.input_kind == "gradient":
+        filters, weights = init_gradient_layer(config.num_filters)
+        init = LayerParams(filters, weights, alpha=alpha, beta=beta)
+    else:
+        init = pretrain_layer(pool, config, pcfg, alpha)
+    batch = sample_training_pairs(
+        pool, config.num_training_pairs, alpha, seed=pair_seed
+    )
+    provenance[f"layer{index + 1}_pair_loss_init"] = objective_and_gradient(
+        init, batch
+    )[0]
+    trained, fit = train_layer(batch, config, init)
+    provenance[f"layer{index + 1}_pair_loss_final"] = objective_and_gradient(
+        trained, batch
+    )[0]
+    for key, value in asdict(fit).items():
+        provenance[f"layer{index + 1}_lbfgs_{key}"] = int(value)
+    provenance[f"layer{index + 1}_alpha"] = alpha
+    provenance[f"layer{index + 1}_beta"] = beta
+    return TrainedLayer.from_training(config, trained)
+
+
+def train_network(
+    images: Sequence[FeatureMap],
+    configs: Sequence[LayerConfig],
+    pcfg: PretrainConfig,
+    *,
+    pyramid_levels: Sequence[int] = DEFAULT_PYRAMID_LEVELS,
+) -> ModelBundle:
+    """Layer-wise unsupervised training over a set of equal-size images.
+
+    Per layer: harvest all sub-patches of the current maps into one pool,
+    estimate the similarity bandwidth from the configured distance
+    quantile, derive the spatial bandwidth from the pooling stride,
+    initialize filters (orientation grid for a gradient layer, sparsity
+    pre-training otherwise), then fit the pair objective. The next layer's
+    maps are the sealed layer's activations of the pool's per-map grids,
+    pooled; nothing is forwarded through the last layer. One pool is alive
+    at a time, so memory peaks near the largest pool. Deterministic: all
+    randomness flows from the layer and pre-training seeds.
+    """
+    images = list(images)
+    pyramid_levels = _check_training_inputs(images, configs, pyramid_levels)
+    provenance = _training_provenance(pcfg)
     layers: list[TrainedLayer] = []
+    pool = _harvest(images, configs[0])
     for index, config in enumerate(configs):
-        grids = [_layer_grid(m, config) for m in maps]
-        pool = SubPatchPool.from_grids(grids)
-        alpha_seed, pair_seed = _derived_seeds(config.seed)
-        alpha = estimate_alpha(pool.normalized, config.alpha_quantile, seed=alpha_seed)
-        beta = compute_beta(config.subsampling_factor)
-        if config.input_kind == "gradient":
-            filters, weights = init_gradient_layer(config.num_filters)
-            init = LayerParams(filters, weights, alpha=alpha, beta=beta)
-        else:
-            init = pretrain_layer(pool, config, pcfg, alpha)
-        batch = sample_training_pairs(
-            pool, config.num_training_pairs, alpha, seed=pair_seed
-        )
-        provenance[f"layer{index + 1}_pair_loss_init"] = objective_and_gradient(
-            init, batch
-        )[0]
-        trained, fit = train_layer(batch, config, init)
-        provenance[f"layer{index + 1}_pair_loss_final"] = objective_and_gradient(
-            trained, batch
-        )[0]
-        for key, value in asdict(fit).items():
-            provenance[f"layer{index + 1}_lbfgs_{key}"] = int(value)
-        provenance[f"layer{index + 1}_alpha"] = alpha
-        provenance[f"layer{index + 1}_beta"] = beta
-        sealed = TrainedLayer.from_training(config, trained)
+        sealed = _fit_layer(pool, index, config, pcfg, provenance)
         layers.append(sealed)
-        # Forward with the sealed params so training-time maps match what
-        # a reloaded model will produce bit for bit.
-        maps = [forward_layer(m, config, sealed.params) for m in maps]
+        if index + 1 == len(configs):
+            break
+        # The sealed params give the maps a reloaded model would produce,
+        # bit for bit: forward_layer's steps, minus its second extraction.
+        maps = [
+            spatial_pool_g(
+                activation_h(grid, sealed.params),
+                sealed.params.beta,
+                config.subsampling_factor,
+            )
+            for grid in pool.grids
+        ]
+        del pool  # free this layer's pool before the next one is harvested
+        pool = _harvest(maps, configs[index + 1])
+        del maps
     return ModelBundle(
         layers=tuple(layers),
         pyramid_levels=pyramid_levels,
-        input_size=size,
+        input_size=images[0].height,
         provenance=provenance,
     )

@@ -5,16 +5,29 @@ locations that the embedding approximates; the finite-difference helper
 checks analytic gradients; the reference pooling loop checks the sparse
 pooling operator; the reference pair objective checks the x+y form of the
 pair-fit; the reference epoch step checks the incremental winner
-bookkeeping; the per-query retrieval loop checks the one-matrix ranking.
+bookkeeping; the per-query retrieval loop checks the one-matrix ranking;
+the grid-per-map training loop checks the one-pool training loop.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import CapacityExhaustedError, InvalidArgumentError, NumericFailureError
-from .featmap import FeatureMap, extract_subpatches
-from .kernel_layer import _OBJECTIVE_CHUNK, _pooling_kernel, _sq_dists
+from .epls import PretrainConfig
+from .featmap import FeatureMap, SubPatchPool, extract_subpatches
+from .kernel_layer import _OBJECTIVE_CHUNK, LayerConfig, _pooling_kernel, _sq_dists
+from .network import (
+    DEFAULT_PYRAMID_LEVELS,
+    ModelBundle,
+    _check_training_inputs,
+    _fit_layer,
+    _layer_grid,
+    _training_provenance,
+    forward_layer,
+)
 
 EXACT_KERNEL_MAX_EXTENT = 16
 FINITE_DIFF_STEP = 1e-5
@@ -241,3 +254,39 @@ def reference_retrieval_precision(
             depth = min(q, len(ranked))
             precisions[column].append(sum(ranked[:depth]) / depth)
     return np.array([np.mean(column) for column in precisions])
+
+
+def reference_train_network(
+    images: Sequence[FeatureMap],
+    configs: Sequence[LayerConfig],
+    pcfg: PretrainConfig,
+    *,
+    pyramid_levels: Sequence[int] = DEFAULT_PYRAMID_LEVELS,
+) -> ModelBundle:
+    """Layer-wise training with a grid per map and a concatenated pool.
+
+    Same contract as ``network.train_network``, and the same per-layer
+    fit: each layer extracts every map's sub-patches on its own, copies
+    them into one pool, and forwards every map, the last layer's included,
+    through ``forward_layer``.
+    """
+    images = list(images)
+    levels = _check_training_inputs(images, configs, pyramid_levels)
+    provenance = _training_provenance(pcfg)
+    maps = images
+    layers = []
+    for index, config in enumerate(configs):
+        grids = [_layer_grid(m, config) for m in maps]
+        pool = SubPatchPool(
+            np.concatenate([g.norms for g in grids]),
+            np.concatenate([g.normalized for g in grids]),
+        )
+        sealed = _fit_layer(pool, index, config, pcfg, provenance)
+        layers.append(sealed)
+        maps = [forward_layer(m, config, sealed.params) for m in maps]
+    return ModelBundle(
+        layers=tuple(layers),
+        pyramid_levels=levels,
+        input_size=images[0].height,
+        provenance=provenance,
+    )

@@ -39,7 +39,7 @@ def _check_gradient(rng: np.random.Generator) -> str:
         left = rng.normal(size=(n, d))
         right = rng.normal(size=(n, d))
         targets = rng.uniform(0.2, 1.0, size=n)
-        batch = PairBatch(left, right, targets)
+        batch = PairBatch.from_pairs(left, right, targets)
         alpha = float(rng.uniform(0.6, 1.4))
         filters = rng.normal(size=(p, d))
         weights = rng.uniform(0.1, 1.0, size=p)
@@ -74,7 +74,7 @@ def _check_pair_objective(rng: np.random.Generator) -> str:
             alpha=float(rng.uniform(1.0, 3.0)),
             beta=1.0,
         )
-        fast = objective_and_gradient(params, PairBatch(left, right, targets))
+        fast = objective_and_gradient(params, PairBatch.from_pairs(left, right, targets))
         slow = reference_pair_objective(
             params.filters, params.weights, params.alpha, left, right, targets
         )
@@ -133,7 +133,7 @@ def _check_embedding_consistency(rng: np.random.Generator) -> str:
     pool_vectors = rng.normal(size=(400, 3))
     pool_vectors /= np.linalg.norm(pool_vectors, axis=1, keepdims=True)
     pool = SubPatchPool(np.ones(400), pool_vectors)
-    alpha = estimate_alpha(pool.normalized, 0.1, seed=3)
+    alpha = estimate_alpha(pool, 0.1, seed=3)
     config = LayerConfig("patch", 1, 1, 12, num_training_pairs=3000, seed=5)
     pcfg = PretrainConfig(
         batch_size=64, patches_per_epoch=256, epochs=2, seed=5

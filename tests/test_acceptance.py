@@ -16,7 +16,12 @@ import pytest
 from cskn.cli import run_command
 from cskn.epls import epls_epoch_step
 from cskn.evalkit import retrieval_precision, roc_auc, top1_accuracy
-from cskn.featmap import FeatureMap, SubPatchPool, extract_subpatches
+from cskn.featmap import (
+    FeatureMap,
+    SubPatchPool,
+    extract_subpatches,
+    harvest_subpatches,
+)
 from cskn.kernel_layer import (
     LayerConfig,
     LayerParams,
@@ -55,7 +60,7 @@ class TestA1GradientCorrectness:
             alpha = float(rng.uniform(0.4, 1.2))
             filters = rng.normal(size=(num_filters, dim))
             weights = rng.uniform(0.2, 1.0, size=num_filters)
-            batch = PairBatch(
+            batch = PairBatch.from_pairs(
                 rng.normal(size=(num_pairs, dim)),
                 rng.normal(size=(num_pairs, dim)),
                 rng.uniform(0.05, 1.0, size=num_pairs),
@@ -152,11 +157,10 @@ def fidelity_mae(seed: int, num_filters: int) -> float:
         one = centers[rng.integers(0, len(centers))][np.newaxis, :]
         return mixture_feature_map(rng, extent, one, spread=0.25)
 
-    grids = [extract_subpatches(make_map(), 1) for _ in range(32)]
-    full = SubPatchPool.from_grids(grids)
+    full = harvest_subpatches([make_map() for _ in range(32)], 1)
     pool = SubPatchPool(full.norms[:2000], full.normalized[:2000])
     held_out = [(make_map(), make_map()) for _ in range(20)]
-    alpha = estimate_alpha(pool.normalized, 0.1, seed=seed)
+    alpha = estimate_alpha(pool, 0.1, seed=seed)
     beta = compute_beta(factor)
     batch = sample_training_pairs(pool, pairs, alpha, seed=seed + 1)
     nonzero = pool.normalized[pool.norms > 0]

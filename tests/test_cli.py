@@ -329,6 +329,33 @@ class TestExitCodes:
             f"error: {target}: cannot write: No such file or directory\n"
         )
 
+    def test_unwritable_train_output_fails_before_training(
+        self, tiny_manifest, tmp_path, capsys, monkeypatch
+    ):
+        import cskn.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output was checked")
+
+        monkeypatch.setattr(cli, "load_image", no_work)
+        monkeypatch.setattr(cli, "train_network", no_work)
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG, encoding="utf-8")
+        target = tmp_path / "nodir" / "m.cskn"
+        status = run_command(
+            [
+                "train",
+                "--config", str(config),
+                "--manifest", str(tiny_manifest),
+                "--out", str(target),
+            ]
+        )
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"error: {target}: cannot write: No such file or directory\n"
+        )
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_bad_config_is_usage_error(self, tiny_manifest, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("bogus_key = 1\n", encoding="utf-8")

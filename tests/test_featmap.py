@@ -10,6 +10,7 @@ from cskn.featmap import (
     SubPatchPool,
     build_gradient_map,
     extract_subpatches,
+    harvest_subpatches,
 )
 
 
@@ -110,19 +111,35 @@ class TestExtractSubpatches:
 
 
 class TestSubPatchPool:
-    def test_from_grids_concatenates(self):
+    def test_harvest_matches_extraction_per_map(self):
         rng = np.random.default_rng(3)
-        grids = [
-            extract_subpatches(FeatureMap(rng.random((3, 3))), 2) for _ in range(2)
-        ]
-        pool = SubPatchPool.from_grids(grids)
-        assert len(pool) == 8
-        assert pool.dim == 4
-        np.testing.assert_array_equal(pool.norms[:4], grids[0].norms)
+        values = rng.random((3, 5, 6, 2))
+        values[1, :3, :3] = 0.0  # zero windows keep a zero direction
+        maps = [FeatureMap(v) for v in values]
+        pool = harvest_subpatches(maps, 2)
+        grids = [extract_subpatches(m, 2) for m in maps]
+        assert len(pool) == 3 * 20 and pool.dim == 8
+        np.testing.assert_array_equal(pool.norms, np.concatenate([g.norms for g in grids]))
+        np.testing.assert_array_equal(
+            pool.normalized, np.concatenate([g.normalized for g in grids])
+        )
+        for view, grid in zip(pool.grids, grids):
+            assert view.grid_shape == grid.grid_shape == (4, 5)
+            np.testing.assert_array_equal(view.normalized, grid.normalized)
+            np.testing.assert_array_equal(view.norms, grid.norms)
+            assert np.shares_memory(view.normalized, pool.normalized)
+            assert np.shares_memory(view.norms, pool.norms)
 
-    def test_rejects_empty_grid_list(self):
+    def test_rejects_empty_map_list(self):
         with pytest.raises(InvalidArgumentError):
-            SubPatchPool.from_grids([])
+            harvest_subpatches([], 3)
+
+    def test_rejects_maps_of_different_shapes(self):
+        maps = [FeatureMap(np.ones((4, 4))), FeatureMap(np.ones((4, 5)))]
+        with pytest.raises(InvalidArgumentError, match="one shape"):
+            harvest_subpatches(maps, 2)
+        with pytest.raises(InvalidArgumentError, match="exceeds"):
+            harvest_subpatches(maps[:1], 5)
 
     def test_rejects_mismatched_arrays(self):
         with pytest.raises(InvalidArgumentError):

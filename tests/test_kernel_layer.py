@@ -1,5 +1,7 @@
 """Bandwidths, activations, pooling, and the pair-fitting objective."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,11 @@ def random_params(rng, num_filters, dim, alpha=None, beta=1.0):
     return LayerParams(filters, weights, alpha=alpha, beta=beta)
 
 
+def bag(vectors):
+    """A pool of the given rows, each with its Euclidean norm."""
+    return SubPatchPool(np.linalg.norm(vectors, axis=1), vectors)
+
+
 class TestBandwidths:
     def test_empirical_quantile_matches_numpy(self):
         values = np.random.default_rng(0).random(101)
@@ -64,25 +71,25 @@ class TestBandwidths:
         vectors = rng.normal(size=(40, 3))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         expected = float(np.quantile(pdist(vectors), 0.1))
-        assert estimate_alpha(vectors, 0.1) == pytest.approx(expected, rel=1e-12)
+        assert estimate_alpha(bag(vectors), 0.1) == pytest.approx(expected, rel=1e-12)
 
     def test_estimate_alpha_ignores_zero_rows(self):
         rng = np.random.default_rng(2)
         vectors = rng.normal(size=(20, 3))
         padded = np.vstack([vectors, np.zeros((5, 3))])
-        assert estimate_alpha(padded, 0.2) == pytest.approx(
-            estimate_alpha(vectors, 0.2)
+        assert estimate_alpha(bag(padded), 0.2) == pytest.approx(
+            estimate_alpha(bag(vectors), 0.2)
         )
 
     def test_estimate_alpha_sampled_mode_is_seeded(self):
         rng = np.random.default_rng(3)
         vectors = rng.normal(size=(300, 2))
-        a = estimate_alpha(vectors, 0.1, max_pairs=500, seed=9)
-        b = estimate_alpha(vectors, 0.1, max_pairs=500, seed=9)
-        c = estimate_alpha(vectors, 0.1, max_pairs=500, seed=10)
+        a = estimate_alpha(bag(vectors), 0.1, max_pairs=500, seed=9)
+        b = estimate_alpha(bag(vectors), 0.1, max_pairs=500, seed=9)
+        c = estimate_alpha(bag(vectors), 0.1, max_pairs=500, seed=10)
         assert a == b
         assert a != c
-        full = estimate_alpha(vectors, 0.1)
+        full = estimate_alpha(bag(vectors), 0.1)
         assert abs(a - full) / full < 0.25
 
     @pytest.mark.parametrize("dim", [2, 9, 144])
@@ -92,7 +99,7 @@ class TestBandwidths:
         rng = np.random.default_rng(dim)
         vectors = rng.normal(size=(600, dim))
         max_pairs = ALPHA_PAIR_SAMPLE_CAP + 3
-        assert max_pairs % kernel_layer._ALPHA_CHUNK != 0
+        assert max_pairs % kernel_layer._PAIR_CHUNK != 0
         seen = []
         quantile = kernel_layer.empirical_quantile
         monkeypatch.setattr(
@@ -100,7 +107,7 @@ class TestBandwidths:
             "empirical_quantile",
             lambda values, q: seen.append(values.copy()) or quantile(values, q),
         )
-        alpha = estimate_alpha(vectors, 0.1, max_pairs=max_pairs, seed=4)
+        alpha = estimate_alpha(bag(vectors), 0.1, max_pairs=max_pairs, seed=4)
         draws = np.random.default_rng(4)
         i = draws.integers(0, 600, size=max_pairs)
         j = (i + draws.integers(1, 600, size=max_pairs)) % 600
@@ -110,9 +117,9 @@ class TestBandwidths:
 
     def test_estimate_alpha_degenerate_inputs(self):
         with pytest.raises(DegenerateSampleError):
-            estimate_alpha(np.zeros((5, 3)), 0.1)
+            estimate_alpha(bag(np.zeros((5, 3))), 0.1)
         with pytest.raises(DegenerateSampleError):
-            estimate_alpha(np.ones((4, 3)), 0.1)  # all identical -> zero distances
+            estimate_alpha(bag(np.ones((4, 3))), 0.1)  # all identical -> zero distances
 
     def test_compute_beta_halves_the_diagonal(self):
         assert compute_beta(2) == pytest.approx(np.sqrt(2.0))
@@ -306,7 +313,7 @@ def random_batch(rng, count, dim):
     left = rng.normal(size=(count, dim))
     right = rng.normal(size=(count, dim))
     targets = rng.uniform(0.05, 1.0, size=count)
-    return PairBatch(left, right, targets)
+    return PairBatch.from_pairs(left, right, targets)
 
 
 class TestPairObjective:
@@ -316,7 +323,7 @@ class TestPairObjective:
         left = rng.normal(size=(17, 3))
         right = rng.normal(size=(17, 3))
         targets = rng.uniform(0.05, 1.0, size=17)
-        loss, _, _ = objective_and_gradient(params, PairBatch(left, right, targets))
+        loss, _, _ = objective_and_gradient(params, PairBatch.from_pairs(left, right, targets))
         model = np.zeros(17)
         for i in range(params.num_filters):
             w = params.filters[i]
@@ -362,7 +369,7 @@ class TestPairObjective:
             -(np.sum((mid - x) ** 2) + np.sum((mid - y) ** 2)) / alpha**2
         )
         params = LayerParams(mid, np.array([float(target / gauss)]), alpha=alpha, beta=1.0)
-        batch = PairBatch(x, y, np.array([target]))
+        batch = PairBatch.from_pairs(x, y, np.array([target]))
         loss, _, _ = objective_and_gradient(params, batch)
         assert loss == pytest.approx(0.0, abs=1e-18)
 
@@ -379,7 +386,7 @@ def recover_pairs(vectors, batch):
 
 def assert_objective_matches_reference(params, left, right, targets, batch=None):
     if batch is None:
-        batch = PairBatch(left, right, targets)
+        batch = PairBatch.from_pairs(left, right, targets)
     fast = objective_and_gradient(params, batch)
     slow = reference_pair_objective(
         params.filters, params.weights, params.alpha, left, right, targets
@@ -398,7 +405,7 @@ class TestPairObjectiveAgainstReference:
         rng = np.random.default_rng(30)
         raw = rng.normal(size=(60, 9))
         pool = SubPatchPool(np.ones(60), raw / np.linalg.norm(raw, axis=1)[:, None])
-        alpha = estimate_alpha(pool.normalized, 0.1, seed=1)
+        alpha = estimate_alpha(pool, 0.1, seed=1)
         batch = sample_training_pairs(pool, 400, alpha, seed=2)
         left, right = recover_pairs(pool.normalized, batch)
         params = LayerParams(
@@ -459,7 +466,7 @@ class TestPairObjectiveAgainstReference:
         rng = np.random.default_rng(80)
         left = rng.normal(size=(6, 3))
         right = rng.normal(size=(6, 3))
-        batch = PairBatch(left, right, np.full(6, 0.5))
+        batch = PairBatch.from_pairs(left, right, np.full(6, 0.5))
         np.testing.assert_array_equal(batch.sums, left + right)
         np.testing.assert_allclose(
             batch.sq_norms, np.sum(left**2 + right**2, axis=1), rtol=1e-15
@@ -513,7 +520,7 @@ class TestTrainLayer:
             raw = rng.normal(size=(600, 3))
             vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
             pool = SubPatchPool(np.ones(600), vectors)
-            alpha = estimate_alpha(pool.normalized, 0.1, seed=seed)
+            alpha = estimate_alpha(pool, 0.1, seed=seed)
             train = sample_training_pairs(pool, 4000, alpha, seed=seed + 1)
             held = sample_training_pairs(pool, 2000, alpha, seed=seed + 2)
             pick = rng.choice(600, size=num_filters, replace=False)
@@ -572,6 +579,35 @@ class TestSampleTrainingPairs:
         # Both members of every pair are unit rows, never the zero rows.
         np.testing.assert_array_equal(one.sq_norms, 2.0)
 
+    def test_chunked_batch_matches_the_gathered_pairs_in_bounded_memory(self):
+        rng = np.random.default_rng(18)
+        raw = rng.normal(size=(3000, 144))
+        vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        norms = rng.uniform(0.5, 2.0, size=3000)
+        vectors[::7] = 0.0
+        norms[::7] = 0.0
+        pool = SubPatchPool(norms, vectors)
+        count, alpha = 30_000, 0.9
+        assert count % kernel_layer._PAIR_CHUNK != 0
+        tracemalloc.start()
+        try:
+            batch = sample_training_pairs(pool, count, alpha, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        batch_bytes = batch.sums.nbytes + batch.sq_norms.nbytes + batch.targets.nbytes
+        assert peak <= 1.5 * batch_bytes, peak / batch_bytes
+        # The whole-batch construction the chunks replaced.
+        kept = vectors[norms > 0]
+        draws = np.random.default_rng(5)
+        left = kept[draws.integers(0, len(kept), size=count)]
+        right = kept[draws.integers(0, len(kept), size=count)]
+        targets = np.exp(-np.sum((left - right) ** 2, axis=1) / (2.0 * alpha * alpha))
+        whole = PairBatch.from_pairs(left, right, targets)
+        np.testing.assert_array_equal(batch.targets, whole.targets)
+        np.testing.assert_array_equal(batch.sums, whole.sums)
+        np.testing.assert_array_equal(batch.sq_norms, whole.sq_norms)
+
     def test_degenerate_pool_raises(self):
         pool = SubPatchPool(np.zeros(4), np.zeros((4, 2)))
         with pytest.raises(DegeneratePoolError):
@@ -586,7 +622,7 @@ class TestSampleTrainingPairs:
         angles += 0.01 * rng.normal(size=5000)
         vectors = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         pool = SubPatchPool(np.ones(5000), vectors)
-        alpha = estimate_alpha(pool.normalized, 0.1, seed=1)
+        alpha = estimate_alpha(pool, 0.1, seed=1)
         assert alpha < 0.01
         batch = sample_training_pairs(pool, 4000, alpha, seed=2)
         assert (batch.targets == 0.0).any()
@@ -621,9 +657,15 @@ class TestValidation:
 
     def test_pair_batch_guards(self):
         with pytest.raises(InvalidArgumentError):
-            PairBatch(np.ones((3, 2)), np.ones((3, 2)), np.array([0.5, -1e-300, 0.5]))
+            PairBatch.from_pairs(np.ones((3, 2)), np.ones((3, 2)), np.array([0.5, -1e-300, 0.5]))
         with pytest.raises(InvalidArgumentError):
-            PairBatch(np.ones((3, 2)), np.ones((2, 2)), np.ones(3))
+            PairBatch.from_pairs(np.ones((3, 2)), np.ones((2, 2)), np.ones(3))
+        with pytest.raises(InvalidArgumentError, match="one squared norm"):
+            PairBatch(np.ones((3, 2)), np.ones(2), np.ones(3))
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            PairBatch(np.ones((3, 2)), np.array([1.0, np.inf, 1.0]), np.ones(3))
+        with pytest.raises(InvalidArgumentError, match="2-D"):
+            PairBatch(np.ones(3), np.ones(3), np.ones(3))
 
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**16))

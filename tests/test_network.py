@@ -1,9 +1,12 @@
 """Layer stacking, pyramid pooling, and whole-network training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cskn.config import load_manifest, parse_run_config
 from cskn.epls import PretrainConfig
 from cskn.errors import InvalidArgumentError
 from cskn.featmap import FeatureMap
@@ -18,6 +21,11 @@ from cskn.network import (
     spp_pool,
     train_network,
 )
+from cskn.images import load_image
+from cskn.model_io import save_model
+from cskn.oracle import reference_train_network
+
+from conftest import TINY_CONFIG
 
 
 def sealed_layer(config, dim, seed=0, alpha=2.0):
@@ -324,3 +332,66 @@ class TestTrainNetwork:
                 PretrainConfig(),
                 pyramid_levels=(2, 1),
             )
+
+
+def model_bytes(model, path):
+    save_model(model, path)
+    return path.read_bytes()
+
+
+class TestTrainNetworkAgainstReference:
+    """The one-pool training loop against the grid-per-map loop it replaced."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_tiny_config_models_are_byte_identical(self, tiny_manifest, tmp_path, seed):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG.replace("\nseed = 3\n", f"\nseed = {seed}\n", 1))
+        run = parse_run_config(config)
+        manifest = load_manifest(tiny_manifest)
+        images = [
+            load_image(manifest.resolve(entry), run.input_size, run.grayscale)
+            for entry in manifest.split_entries("train")
+        ]
+        args = (images, run.layers, run.pretrain)
+        kwargs = {"pyramid_levels": run.pyramid_levels}
+        fast = model_bytes(train_network(*args, **kwargs), tmp_path / "fast.cskn")
+        slow = model_bytes(reference_train_network(*args, **kwargs), tmp_path / "slow.cskn")
+        assert fast == slow
+
+    def test_patch_first_layer_models_are_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(31)
+        images = [FeatureMap(rng.random((20, 20, 3))) for _ in range(3)]
+        configs = [
+            LayerConfig("patch", 2, 2, 6, num_training_pairs=600, seed=41),
+            LayerConfig("patch", 2, 1, 5, num_training_pairs=600, seed=42),
+        ]
+        pcfg = PretrainConfig(batch_size=100, patches_per_epoch=300, epochs=2, seed=43)
+        fast = model_bytes(
+            train_network(images, configs, pcfg, pyramid_levels=(1, 2)),
+            tmp_path / "fast.cskn",
+        )
+        slow = model_bytes(
+            reference_train_network(images, configs, pcfg, pyramid_levels=(1, 2)),
+            tmp_path / "slow.cskn",
+        )
+        assert fast == slow
+
+
+def test_training_memory_peaks_near_the_largest_pool():
+    # Layer 1 keeps the full 63x63 grid (stride 1), so layer 2's pool of
+    # 61x61 windows x 8 channels x 3x3 dominates every other allocation.
+    rng = np.random.default_rng(51)
+    images = [FeatureMap(rng.random((64, 64))) for _ in range(12)]
+    configs = [
+        LayerConfig("gradient", 1, 1, 8, num_training_pairs=500, seed=52),
+        LayerConfig("patch", 3, 2, 16, num_training_pairs=500, seed=53),
+    ]
+    pcfg = PretrainConfig(batch_size=100, patches_per_epoch=500, epochs=1, seed=54)
+    layer2_pool_bytes = len(images) * 61 * 61 * (8 * 3 * 3 + 1) * 8
+    tracemalloc.start()
+    try:
+        train_network(images, configs, pcfg, pyramid_levels=(1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * layer2_pool_bytes, peak / layer2_pool_bytes
